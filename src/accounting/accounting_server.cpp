@@ -1,6 +1,7 @@
 #include "accounting/accounting_server.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/request.hpp"
 #include "crypto/random.hpp"
@@ -48,6 +49,32 @@ std::optional<std::pair<PrincipalName, std::uint64_t>> deposit_dedup_key(
   if (req.check.chain.certs.empty()) return std::nullopt;
   return std::make_pair(req.check.chain.certs.front().grantor,
                         req.check.check_number);
+}
+
+/// Infrastructure accounts — the cashier account and the peer:*
+/// settlement accounts — belong to the bank, not to a client: the shard
+/// gate never refuses them and migration never moves them.
+bool is_infrastructure_account(std::string_view name) {
+  return name == kCashierAccount || name.starts_with("peer:");
+}
+
+/// Amounts are u64 on the wire and in the journal, but the books are
+/// int64.  An amount that does not fit, or whose credit would overflow
+/// `credited`'s balance, can only come from a corrupt or hostile record;
+/// appliers refuse it before any part of the record applies.
+util::Status check_amount(std::uint64_t amount,
+                          const Account* credited = nullptr,
+                          const Currency& currency = {}) {
+  const std::int64_t balance =
+      credited == nullptr ? 0 : credited->balances().balance(currency);
+  if (amount <= static_cast<std::uint64_t>(
+                    std::numeric_limits<std::int64_t>::max() -
+                    std::max<std::int64_t>(balance, 0))) {
+    return util::Status::ok();
+  }
+  return util::fail(ErrorCode::kParseError,
+                    "amount " + std::to_string(amount) +
+                        " overflows the books");
 }
 }  // namespace
 
@@ -237,6 +264,567 @@ MigratedAccount MigratedAccount::decode(wire::Decoder& dec) {
   return a;
 }
 
+// ---- Journal records ------------------------------------------------------
+//
+// One payload struct per JournalRecordType (kType).  A record is the only
+// way ledger state changes: the live path builds it after validating a
+// request and hands it to apply_and_journal_(), which runs its applier and
+// appends it; replay (recover(), apply_replicated()) decodes it and runs
+// the same applier.  The encodings are the durable on-disk format.
+
+namespace {
+
+struct AccountOpenRecord {
+  static constexpr JournalRecordType kType = JournalRecordType::kAccountOpen;
+  std::string name;
+  PrincipalName owner;
+  Balances initial;
+
+  void encode(wire::Encoder& enc) const {
+    enc.str(name);
+    enc.str(owner);
+    initial.encode(enc);
+  }
+  static AccountOpenRecord decode(wire::Decoder& dec) {
+    AccountOpenRecord r;
+    r.name = dec.str();
+    r.owner = dec.str();
+    r.initial = Balances::decode(dec);
+    return r;
+  }
+};
+
+struct RouteSetRecord {
+  static constexpr JournalRecordType kType = JournalRecordType::kRouteSet;
+  PrincipalName drawee;
+  PrincipalName via;
+
+  void encode(wire::Encoder& enc) const {
+    enc.str(drawee);
+    enc.str(via);
+  }
+  static RouteSetRecord decode(wire::Decoder& dec) {
+    RouteSetRecord r;
+    r.drawee = dec.str();
+    r.via = dec.str();
+    return r;
+  }
+};
+
+struct TransferRecord {
+  static constexpr JournalRecordType kType = JournalRecordType::kTransfer;
+  std::string from_account;
+  std::string to_account;
+  Currency currency;
+  std::uint64_t amount = 0;
+
+  void encode(wire::Encoder& enc) const {
+    enc.str(from_account);
+    enc.str(to_account);
+    enc.str(currency);
+    enc.u64(amount);
+  }
+  static TransferRecord decode(wire::Decoder& dec) {
+    TransferRecord r;
+    r.from_account = dec.str();
+    r.to_account = dec.str();
+    r.currency = dec.str();
+    r.amount = dec.u64();
+    return r;
+  }
+};
+
+struct CertifyRecord {
+  static constexpr JournalRecordType kType = JournalRecordType::kCertify;
+  PrincipalName payor;
+  std::string account;
+  Currency currency;
+  std::uint64_t amount = 0;
+  std::uint64_t check_number = 0;
+  util::TimePoint hold_until = 0;
+  util::Bytes reply_payload;  ///< replayed to dedup'd retries
+
+  void encode(wire::Encoder& enc) const {
+    enc.str(payor);
+    enc.str(account);
+    enc.str(currency);
+    enc.u64(amount);
+    enc.u64(check_number);
+    enc.i64(hold_until);
+    enc.bytes(reply_payload);
+  }
+  static CertifyRecord decode(wire::Decoder& dec) {
+    CertifyRecord r;
+    r.payor = dec.str();
+    r.account = dec.str();
+    r.currency = dec.str();
+    r.amount = dec.u64();
+    r.check_number = dec.u64();
+    r.hold_until = dec.i64();
+    r.reply_payload = dec.bytes();
+    return r;
+  }
+};
+
+struct SettleRecord {
+  static constexpr JournalRecordType kType = JournalRecordType::kSettleLocal;
+  PrincipalName grantor;  ///< check signer = dedup key, certified key
+  std::uint64_t check_number = 0;
+  std::string payor_account;
+  std::string collect_account;
+  PrincipalName collect_owner;  ///< owner if the applier must open it
+  Currency currency;
+  std::uint64_t amount = 0;
+  bool from_hold = false;            ///< settled out of a certified hold
+  std::uint64_t hold_release = 0;    ///< unhold remainder beyond amount
+  util::TimePoint expires_at = 0;    ///< dedup-entry lifetime
+  util::Bytes reply_payload;
+
+  void encode(wire::Encoder& enc) const {
+    enc.str(grantor);
+    enc.u64(check_number);
+    enc.str(payor_account);
+    enc.str(collect_account);
+    enc.str(collect_owner);
+    enc.str(currency);
+    enc.u64(amount);
+    enc.boolean(from_hold);
+    enc.u64(hold_release);
+    enc.i64(expires_at);
+    enc.bytes(reply_payload);
+  }
+  static SettleRecord decode(wire::Decoder& dec) {
+    SettleRecord r;
+    r.grantor = dec.str();
+    r.check_number = dec.u64();
+    r.payor_account = dec.str();
+    r.collect_account = dec.str();
+    r.collect_owner = dec.str();
+    r.currency = dec.str();
+    r.amount = dec.u64();
+    r.from_hold = dec.boolean();
+    r.hold_release = dec.u64();
+    r.expires_at = dec.i64();
+    r.reply_payload = dec.bytes();
+    return r;
+  }
+};
+
+struct ForeignSettledRecord {
+  static constexpr JournalRecordType kType =
+      JournalRecordType::kForeignSettled;
+  PrincipalName grantor;
+  std::uint64_t check_number = 0;
+  std::string collect_account;
+  PrincipalName collect_owner;
+  Currency currency;
+  std::uint64_t amount = 0;
+  util::TimePoint expires_at = 0;
+  util::Bytes reply_payload;
+
+  void encode(wire::Encoder& enc) const {
+    enc.str(grantor);
+    enc.u64(check_number);
+    enc.str(collect_account);
+    enc.str(collect_owner);
+    enc.str(currency);
+    enc.u64(amount);
+    enc.i64(expires_at);
+    enc.bytes(reply_payload);
+  }
+  static ForeignSettledRecord decode(wire::Decoder& dec) {
+    ForeignSettledRecord r;
+    r.grantor = dec.str();
+    r.check_number = dec.u64();
+    r.collect_account = dec.str();
+    r.collect_owner = dec.str();
+    r.currency = dec.str();
+    r.amount = dec.u64();
+    r.expires_at = dec.i64();
+    r.reply_payload = dec.bytes();
+    return r;
+  }
+};
+
+struct CashierRecord {
+  static constexpr JournalRecordType kType = JournalRecordType::kCashier;
+  std::string account;
+  Currency currency;
+  std::uint64_t amount = 0;
+
+  void encode(wire::Encoder& enc) const {
+    enc.str(account);
+    enc.str(currency);
+    enc.u64(amount);
+  }
+  static CashierRecord decode(wire::Decoder& dec) {
+    CashierRecord r;
+    r.account = dec.str();
+    r.currency = dec.str();
+    r.amount = dec.u64();
+    return r;
+  }
+};
+
+/// kRevocation journals the registry event itself.
+struct RevocationRecord {
+  static constexpr JournalRecordType kType = JournalRecordType::kRevocation;
+  core::RevocationRegistry::Event event;
+
+  void encode(wire::Encoder& enc) const { event.encode(enc); }
+  static RevocationRecord decode(wire::Decoder& dec) {
+    return {core::RevocationRegistry::Event::decode(dec)};
+  }
+};
+
+/// kMigrateFreeze and kMigrateOut journal the MigrationSpec itself;
+/// kMigrateIn journals the spec plus the imported accounts.
+template <JournalRecordType Type>
+struct SpecRecord {
+  static constexpr JournalRecordType kType = Type;
+  MigrationSpec spec;
+
+  void encode(wire::Encoder& enc) const { spec.encode(enc); }
+  static SpecRecord decode(wire::Decoder& dec) {
+    return {MigrationSpec::decode(dec)};
+  }
+};
+using MigrateFreezeRecord = SpecRecord<JournalRecordType::kMigrateFreeze>;
+using MigrateOutRecord = SpecRecord<JournalRecordType::kMigrateOut>;
+
+struct MigrateInRecord {
+  static constexpr JournalRecordType kType = JournalRecordType::kMigrateIn;
+  MigrationSpec spec;
+  std::vector<MigratedAccount> accounts;
+
+  void encode(wire::Encoder& enc) const {
+    spec.encode(enc);
+    enc.seq(accounts,
+            [](wire::Encoder& e, const MigratedAccount& a) { a.encode(e); });
+  }
+  static MigrateInRecord decode(wire::Decoder& dec) {
+    MigrateInRecord r;
+    r.spec = MigrationSpec::decode(dec);
+    r.accounts = dec.seq<MigratedAccount>(
+        [](wire::Decoder& d) { return MigratedAccount::decode(d); });
+    return r;
+  }
+};
+
+/// kReplApply: a record replicated from `source`, journaled locally as
+/// effect + watermark in one frame (see apply_replicated()).
+struct ReplApplyRecord {
+  static constexpr JournalRecordType kType = JournalRecordType::kReplApply;
+  PrincipalName source;
+  std::uint64_t source_lsn = 0;
+  std::uint16_t inner_type = 0;
+  util::Bytes inner_payload;
+
+  void encode(wire::Encoder& enc) const {
+    enc.str(source);
+    enc.u64(source_lsn);
+    enc.u16(inner_type);
+    enc.bytes(inner_payload);
+  }
+  static ReplApplyRecord decode(wire::Decoder& dec) {
+    ReplApplyRecord r;
+    r.source = dec.str();
+    r.source_lsn = dec.u64();
+    r.inner_type = dec.u16();
+    r.inner_payload = dec.bytes();
+    return r;
+  }
+};
+
+/// kIdentityAdopt: the named peer bank's checks settle here now.
+struct IdentityAdoptRecord {
+  static constexpr JournalRecordType kType = JournalRecordType::kIdentityAdopt;
+  PrincipalName name;
+
+  void encode(wire::Encoder& enc) const { enc.str(name); }
+  static IdentityAdoptRecord decode(wire::Decoder& dec) {
+    return {dec.str()};
+  }
+};
+
+}  // namespace
+
+// ---- Appliers ------------------------------------------------------------
+//
+// The only code that changes ledger state (DESIGN.md §5e), one explicit
+// specialization of apply_() per record type; they precede every use, as
+// C++ requires.
+
+template <>
+util::Status AccountingServer::apply_(const AccountOpenRecord& rec,
+                                      util::TimePoint /*now*/) {
+  open_account_(rec.name, rec.owner, rec.initial);
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const RouteSetRecord& rec,
+                                      util::TimePoint /*now*/) {
+  routes_[rec.drawee] = rec.via;
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const TransferRecord& rec,
+                                      util::TimePoint /*now*/) {
+  Account* from = find_account_(rec.from_account);
+  Account* to = find_account_(rec.to_account);
+  if (from == nullptr || to == nullptr) {
+    return util::fail(ErrorCode::kParseError,
+                      "journaled transfer names an unknown account");
+  }
+  RPROXY_RETURN_IF_ERROR(check_amount(rec.amount, to, rec.currency));
+  RPROXY_RETURN_IF_ERROR(
+      from->debit(rec.currency, static_cast<std::int64_t>(rec.amount)));
+  to->credit(rec.currency, static_cast<std::int64_t>(rec.amount));
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const CertifyRecord& rec,
+                                      util::TimePoint now) {
+  const DedupKey key{rec.payor, rec.check_number};
+  if (completed_certifies_.contains(key) || certified_.contains(key)) {
+    return util::Status::ok();  // duplicate replay of an applied record
+  }
+  Account* acct = find_account_(rec.account);
+  if (acct == nullptr) {
+    return util::fail(ErrorCode::kParseError,
+                      "journaled certification names an unknown account");
+  }
+  RPROXY_RETURN_IF_ERROR(check_amount(rec.amount));
+  RPROXY_RETURN_IF_ERROR(
+      acct->place_hold(rec.currency, static_cast<std::int64_t>(rec.amount)));
+  certified_[key] = CertifiedHold{rec.payor, rec.account, rec.currency,
+                                  rec.amount, rec.hold_until};
+  if (config_.enable_dedup) {
+    record_completed_(completed_certifies_, key,
+                      util::Bytes(rec.reply_payload), rec.hold_until, now);
+  }
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const SettleRecord& rec,
+                                      util::TimePoint now) {
+  const DedupKey key{rec.grantor, rec.check_number};
+  if (config_.enable_dedup && completed_deposits_.contains(key)) {
+    return util::Status::ok();  // duplicate replay of an applied record
+  }
+  Account* payor = find_account_(rec.payor_account);
+  if (payor == nullptr) {
+    return util::fail(ErrorCode::kParseError,
+                      "journaled settlement names an unknown payor account");
+  }
+  Account* collect = find_account_(rec.collect_account);
+  RPROXY_RETURN_IF_ERROR(check_amount(rec.hold_release));
+  RPROXY_RETURN_IF_ERROR(check_amount(rec.amount, collect, rec.currency));
+  if (rec.from_hold) {
+    RPROXY_RETURN_IF_ERROR(payor->debit_held(
+        rec.currency, static_cast<std::int64_t>(rec.amount)));
+    if (rec.hold_release > 0) {
+      payor->release_hold(rec.currency,
+                          static_cast<std::int64_t>(rec.hold_release));
+    }
+    certified_.erase(key);
+  } else {
+    RPROXY_RETURN_IF_ERROR(
+        payor->debit(rec.currency, static_cast<std::int64_t>(rec.amount)));
+  }
+  if (collect == nullptr) {
+    collect = &open_account_(rec.collect_account, rec.collect_owner);
+  }
+  collect->credit(rec.currency, static_cast<std::int64_t>(rec.amount));
+  if (config_.enable_dedup) {
+    record_completed_(completed_deposits_, key, util::Bytes(rec.reply_payload),
+                      rec.expires_at, now);
+  }
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const ForeignSettledRecord& rec,
+                                      util::TimePoint now) {
+  const DedupKey key{rec.grantor, rec.check_number};
+  if (config_.enable_dedup && completed_deposits_.contains(key)) {
+    return util::Status::ok();  // duplicate replay of an applied record
+  }
+  // The provisional credit was never journaled (a crash mid-collection
+  // correctly forgets it), so the record carries the credit it commits.
+  Account* collect = find_account_(rec.collect_account);
+  RPROXY_RETURN_IF_ERROR(check_amount(rec.amount, collect, rec.currency));
+  if (collect == nullptr) {
+    collect = &open_account_(rec.collect_account, rec.collect_owner);
+  }
+  collect->credit(rec.currency, static_cast<std::int64_t>(rec.amount));
+  if (config_.enable_dedup) {
+    record_completed_(completed_deposits_, key, util::Bytes(rec.reply_payload),
+                      rec.expires_at, now);
+  }
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const CashierRecord& rec,
+                                      util::TimePoint /*now*/) {
+  Account* acct = find_account_(rec.account);
+  if (acct == nullptr) {
+    return util::fail(ErrorCode::kParseError,
+                      "journaled cashier purchase names an unknown account");
+  }
+  const std::string cashier(kCashierAccount);
+  Account* bank = find_account_(cashier);
+  RPROXY_RETURN_IF_ERROR(check_amount(rec.amount, bank, rec.currency));
+  RPROXY_RETURN_IF_ERROR(
+      acct->debit(rec.currency, static_cast<std::int64_t>(rec.amount)));
+  if (bank == nullptr) bank = &open_account_(cashier, config_.name);
+  bank->credit(rec.currency, static_cast<std::int64_t>(rec.amount));
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const RevocationRecord& rec,
+                                      util::TimePoint /*now*/) {
+  // Idempotent: epochs/cutoffs take the max, list entries accumulate — a
+  // record also covered by the snapshot merge applies once.
+  if (config_.revocation != nullptr) config_.revocation->apply(rec.event);
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const MigrateFreezeRecord& rec,
+                                      util::TimePoint /*now*/) {
+  frozen_[rec.spec.migration_id] = rec.spec;
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const MigrateInRecord& rec,
+                                      util::TimePoint /*now*/) {
+  // Idempotent under the migration id — unless the dedup ablation is on,
+  // in which case a record surviving in both snapshot and journal tail
+  // double-credits (the chaos teeth test).
+  if (config_.enable_dedup &&
+      applied_migrations_.contains(rec.spec.migration_id)) {
+    return util::Status::ok();
+  }
+  for (const MigratedAccount& migrated : rec.accounts) {
+    // insert_or_assign: a stale local copy (e.g. a range migrating back)
+    // is replaced wholesale by the exporter's authoritative state.
+    Account& acct =
+        open_account_(migrated.name, migrated.owner, migrated.balances);
+    for (const MigratedAccount::Hold& hold : migrated.holds) {
+      // The exported balance already includes the held amount; re-placing
+      // the hold only re-marks it unavailable.  A hold that no longer fits
+      // (possible only under the dedup-off double-import ablation) is
+      // dropped rather than wedging recovery.
+      if (!check_amount(hold.amount).is_ok() ||
+          !acct.place_hold(hold.currency,
+                           static_cast<std::int64_t>(hold.amount))
+               .is_ok()) {
+        continue;
+      }
+      certified_[{hold.payor, hold.check_number}] =
+          CertifiedHold{hold.payor, migrated.name, hold.currency, hold.amount,
+                        hold.expires_at};
+    }
+  }
+  if (config_.enable_dedup) {
+    applied_migrations_.insert(rec.spec.migration_id);
+  }
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const MigrateOutRecord& rec,
+                                      util::TimePoint /*now*/) {
+  for (auto it = accounts_.begin(); it != accounts_.end();) {
+    const std::string& name = it->first;
+    if (!is_infrastructure_account(name) && rec.spec.covers(name)) {
+      for (auto cert = certified_.begin(); cert != certified_.end();) {
+        if (cert->second.account == name) {
+          cert = certified_.erase(cert);
+        } else {
+          ++cert;
+        }
+      }
+      it = accounts_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  frozen_.erase(rec.spec.migration_id);
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const ReplApplyRecord& rec,
+                                      util::TimePoint now) {
+  // Effect + watermark apply as one unit, mirroring how they were
+  // written.  apply_replicated() unwraps before re-wrapping, so a wrapper
+  // never legitimately nests another; one that does is hostile, and
+  // refusing it bounds the unwrap at one level.
+  if (rec.inner_type == static_cast<std::uint16_t>(ReplApplyRecord::kType)) {
+    return util::fail(ErrorCode::kParseError,
+                      "replicated record nests a replicated record");
+  }
+  auto mark = repl_watermarks_.find(rec.source);
+  if (rec.source_lsn != 0 && mark != repl_watermarks_.end() &&
+      rec.source_lsn <= mark->second) {
+    return util::Status::ok();  // already covered (non-idempotent inner
+                                // records must not re-apply)
+  }
+  RPROXY_RETURN_IF_ERROR(apply_record_locked_(
+      storage::JournalRecord{0, rec.inner_type, rec.inner_payload}, now));
+  std::uint64_t& applied = repl_watermarks_[rec.source];
+  applied = std::max(applied, rec.source_lsn);
+  return util::Status::ok();
+}
+
+template <>
+util::Status AccountingServer::apply_(const IdentityAdoptRecord& rec,
+                                      util::TimePoint /*now*/) {
+  adopted_identities_.insert(rec.name);
+  return util::Status::ok();
+}
+
+util::Status AccountingServer::apply_record_locked_(
+    const storage::JournalRecord& record, const util::TimePoint now) {
+  using T = JournalRecordType;
+  switch (static_cast<T>(record.type)) {
+    case T::kAccountOpen: return replay_<AccountOpenRecord>(record, now);
+    case T::kRouteSet: return replay_<RouteSetRecord>(record, now);
+    case T::kTransfer: return replay_<TransferRecord>(record, now);
+    case T::kCertify: return replay_<CertifyRecord>(record, now);
+    case T::kSettleLocal: return replay_<SettleRecord>(record, now);
+    case T::kForeignSettled: return replay_<ForeignSettledRecord>(record, now);
+    case T::kCashier: return replay_<CashierRecord>(record, now);
+    case T::kRevocation: return replay_<RevocationRecord>(record, now);
+    case T::kMigrateFreeze: return replay_<MigrateFreezeRecord>(record, now);
+    case T::kMigrateIn: return replay_<MigrateInRecord>(record, now);
+    case T::kMigrateOut: return replay_<MigrateOutRecord>(record, now);
+    case T::kReplApply: return replay_<ReplApplyRecord>(record, now);
+    case T::kIdentityAdopt: return replay_<IdentityAdoptRecord>(record, now);
+  }
+  return util::fail(ErrorCode::kParseError,
+                    "journal record " + std::to_string(record.lsn) +
+                        " has unknown type " + std::to_string(record.type) +
+                        " (written by a newer server?)");
+}
+
+template <typename Record>
+util::Status AccountingServer::replay_(const storage::JournalRecord& record,
+                                       util::TimePoint now) {
+  RPROXY_ASSIGN_OR_RETURN(const Record rec,
+                          wire::decode_from_bytes<Record>(record.payload));
+  return apply_(rec, now);
+}
+
 AccountingServer::AccountingServer(Config config)
     : config_(std::move(config)),
       verifier_(core::ProxyVerifier::Config{
@@ -268,19 +856,19 @@ void AccountingServer::open_account(const std::string& local_name,
                                     const PrincipalName& owner,
                                     Balances initial) {
   std::lock_guard lock(state_mutex_);
-  AccountOpenRecord record{local_name, owner, initial};
-  open_account_(local_name, owner, std::move(initial));
   // Setup API: a journal failure here marks the server storage-dead (it
   // will refuse all requests), which is all a void API can do.
-  (void)journal_append_(JournalRecordType::kAccountOpen, record);
+  (void)apply_and_journal_(
+      AccountOpenRecord{local_name, owner, std::move(initial)});
 }
 
-void AccountingServer::open_account_(const std::string& local_name,
-                                     const PrincipalName& owner,
-                                     Balances initial) {
+Account& AccountingServer::open_account_(const std::string& local_name,
+                                         const PrincipalName& owner,
+                                         Balances initial) {
   Account account(local_name, owner);
   account.balances() = std::move(initial);
-  accounts_.insert_or_assign(local_name, std::move(account));
+  return accounts_.insert_or_assign(local_name, std::move(account))
+      .first->second;
 }
 
 Account* AccountingServer::account(const std::string& local_name) {
@@ -301,6 +889,8 @@ Account* AccountingServer::find_account_(const std::string& local_name) {
 
 namespace {
 constexpr std::string_view kSnapshotSealPurpose = "accounting:snapshot";
+/// The one snapshot format snapshot() writes and restore() accepts.
+constexpr std::string_view kSnapshotVersion = "accounting-snapshot-v6";
 }  // namespace
 
 util::Bytes AccountingServer::snapshot(
@@ -322,7 +912,7 @@ util::Bytes AccountingServer::snapshot_locked_(
   };
 
   wire::Encoder enc;
-  enc.str("accounting-snapshot-v6");
+  enc.str(kSnapshotVersion);
   enc.str(config_.name);
   enc.u32(static_cast<std::uint32_t>(accounts_.size()));
   for (const auto& [name, account] : accounts_) {
@@ -354,13 +944,12 @@ util::Bytes AccountingServer::snapshot_locked_(
   }
   encode_dedup(enc, completed_deposits_);
   encode_dedup(enc, completed_certifies_);
-  // v3: the clearing routes (v2 snapshots predate this field).
   enc.u32(static_cast<std::uint32_t>(routes_.size()));
   for (const auto& [drawee, via] : routes_) {
     enc.str(drawee);
     enc.str(via);
   }
-  // v4: the revocation-registry state, as an opaque blob (empty when no
+  // The revocation-registry state, as an opaque blob (empty when no
   // registry is attached).  Restoring MERGES it — registry state is
   // monotonic, so snapshot + journal-tail replay is idempotent.
   {
@@ -370,14 +959,14 @@ util::Bytes AccountingServer::snapshot_locked_(
     }
     enc.bytes(revocation.view());
   }
-  // v5: migration state — active source-side freezes and the target-side
+  // Migration state — active source-side freezes and the target-side
   // set of already-imported migration ids (the exactly-once guard must
   // survive a checkpoint, exactly like the dedup tables).
   enc.u32(static_cast<std::uint32_t>(frozen_.size()));
   for (const auto& [id, spec] : frozen_) spec.encode(enc);
   enc.u32(static_cast<std::uint32_t>(applied_migrations_.size()));
   for (const std::uint64_t id : applied_migrations_) enc.u64(id);
-  // v6: failover state — adopted bank identities and the durable
+  // Failover state — adopted bank identities and the durable
   // replication watermarks (a restarted standby resumes shipping from its
   // watermark instead of re-bootstrapping; a promoted survivor keeps
   // settling checks drawn on the names it adopted).
@@ -427,22 +1016,11 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
       crypto::aead_open(key.derive_subkey(kSnapshotSealPurpose), snapshot));
   wire::Decoder dec(plain);
   const std::string version = dec.str();
-  if (version != "accounting-snapshot-v2" &&
-      version != "accounting-snapshot-v3" &&
-      version != "accounting-snapshot-v4" &&
-      version != "accounting-snapshot-v5" &&
-      version != "accounting-snapshot-v6") {
+  if (version != kSnapshotVersion) {
     return util::fail(ErrorCode::kParseError,
                       "not an accounting snapshot (unknown version '" +
                           version + "')");
   }
-  const bool has_routes = version != "accounting-snapshot-v2";
-  const bool has_revocation = version == "accounting-snapshot-v4" ||
-                              version == "accounting-snapshot-v5" ||
-                              version == "accounting-snapshot-v6";
-  const bool has_migration = version == "accounting-snapshot-v5" ||
-                             version == "accounting-snapshot-v6";
-  const bool has_failover = version == "accounting-snapshot-v6";
   const std::string server = dec.str();
   if (server != expected_server) {
     return util::fail(ErrorCode::kProtocolError,
@@ -495,41 +1073,34 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
   DedupTable deposits = decode_dedup();
   DedupTable certifies = decode_dedup();
   std::map<PrincipalName, PrincipalName> routes;
-  if (has_routes) {
-    const std::uint32_t route_count = dec.u32();
-    for (std::uint32_t i = 0; i < route_count && dec.ok(); ++i) {
-      const PrincipalName drawee = dec.str();
-      const PrincipalName via = dec.str();
-      routes[drawee] = via;
-    }
+  const std::uint32_t route_count = dec.u32();
+  for (std::uint32_t i = 0; i < route_count && dec.ok(); ++i) {
+    const PrincipalName drawee = dec.str();
+    const PrincipalName via = dec.str();
+    routes[drawee] = via;
   }
-  util::Bytes revocation_state;
-  if (has_revocation) revocation_state = dec.bytes();
+  const util::Bytes revocation_state = dec.bytes();
   std::map<std::uint64_t, MigrationSpec> frozen;
+  const std::uint32_t frozen_count = dec.u32();
+  for (std::uint32_t i = 0; i < frozen_count && dec.ok(); ++i) {
+    MigrationSpec spec = MigrationSpec::decode(dec);
+    frozen[spec.migration_id] = std::move(spec);
+  }
   std::set<std::uint64_t> applied_migrations;
-  if (has_migration) {
-    const std::uint32_t frozen_count = dec.u32();
-    for (std::uint32_t i = 0; i < frozen_count && dec.ok(); ++i) {
-      MigrationSpec spec = MigrationSpec::decode(dec);
-      frozen[spec.migration_id] = std::move(spec);
-    }
-    const std::uint32_t applied_count = dec.u32();
-    for (std::uint32_t i = 0; i < applied_count && dec.ok(); ++i) {
-      applied_migrations.insert(dec.u64());
-    }
+  const std::uint32_t applied_count = dec.u32();
+  for (std::uint32_t i = 0; i < applied_count && dec.ok(); ++i) {
+    applied_migrations.insert(dec.u64());
   }
   std::set<PrincipalName> adopted;
+  const std::uint32_t adopted_count = dec.u32();
+  for (std::uint32_t i = 0; i < adopted_count && dec.ok(); ++i) {
+    adopted.insert(dec.str());
+  }
   std::map<PrincipalName, std::uint64_t> watermarks;
-  if (has_failover) {
-    const std::uint32_t adopted_count = dec.u32();
-    for (std::uint32_t i = 0; i < adopted_count && dec.ok(); ++i) {
-      adopted.insert(dec.str());
-    }
-    const std::uint32_t mark_count = dec.u32();
-    for (std::uint32_t i = 0; i < mark_count && dec.ok(); ++i) {
-      const PrincipalName source = dec.str();
-      watermarks[source] = dec.u64();
-    }
+  const std::uint32_t mark_count = dec.u32();
+  for (std::uint32_t i = 0; i < mark_count && dec.ok(); ++i) {
+    const PrincipalName source = dec.str();
+    watermarks[source] = dec.u64();
   }
   RPROXY_RETURN_IF_ERROR(dec.finish());
 
@@ -547,199 +1118,12 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
   certified_ = std::move(certified);
   completed_deposits_ = std::move(deposits);
   completed_certifies_ = std::move(certifies);
-  // A v2 snapshot says nothing about routes; leave them as configured.
-  if (has_routes) routes_ = std::move(routes);
-  // Pre-v5 snapshots predate sharding: no freezes, nothing imported.
+  routes_ = std::move(routes);
   frozen_ = std::move(frozen);
   applied_migrations_ = std::move(applied_migrations);
-  // Pre-v6 snapshots predate failover: nothing adopted, no watermarks.
   adopted_identities_ = std::move(adopted);
   repl_watermarks_ = std::move(watermarks);
   return util::Status::ok();
-}
-
-// ---- Write-ahead journal records -----------------------------------------
-
-void AccountingServer::AccountOpenRecord::encode(wire::Encoder& enc) const {
-  enc.str(name);
-  enc.str(owner);
-  initial.encode(enc);
-}
-
-AccountingServer::AccountOpenRecord AccountingServer::AccountOpenRecord::decode(
-    wire::Decoder& dec) {
-  AccountOpenRecord r;
-  r.name = dec.str();
-  r.owner = dec.str();
-  r.initial = Balances::decode(dec);
-  return r;
-}
-
-void AccountingServer::RouteSetRecord::encode(wire::Encoder& enc) const {
-  enc.str(drawee);
-  enc.str(via);
-}
-
-AccountingServer::RouteSetRecord AccountingServer::RouteSetRecord::decode(
-    wire::Decoder& dec) {
-  RouteSetRecord r;
-  r.drawee = dec.str();
-  r.via = dec.str();
-  return r;
-}
-
-void AccountingServer::TransferRecord::encode(wire::Encoder& enc) const {
-  enc.str(from_account);
-  enc.str(to_account);
-  enc.str(currency);
-  enc.u64(amount);
-}
-
-AccountingServer::TransferRecord AccountingServer::TransferRecord::decode(
-    wire::Decoder& dec) {
-  TransferRecord r;
-  r.from_account = dec.str();
-  r.to_account = dec.str();
-  r.currency = dec.str();
-  r.amount = dec.u64();
-  return r;
-}
-
-void AccountingServer::CertifyRecord::encode(wire::Encoder& enc) const {
-  enc.str(payor);
-  enc.str(account);
-  enc.str(currency);
-  enc.u64(amount);
-  enc.u64(check_number);
-  enc.i64(hold_until);
-  enc.bytes(reply_payload);
-}
-
-AccountingServer::CertifyRecord AccountingServer::CertifyRecord::decode(
-    wire::Decoder& dec) {
-  CertifyRecord r;
-  r.payor = dec.str();
-  r.account = dec.str();
-  r.currency = dec.str();
-  r.amount = dec.u64();
-  r.check_number = dec.u64();
-  r.hold_until = dec.i64();
-  r.reply_payload = dec.bytes();
-  return r;
-}
-
-void AccountingServer::SettleRecord::encode(wire::Encoder& enc) const {
-  enc.str(grantor);
-  enc.u64(check_number);
-  enc.str(payor_account);
-  enc.str(collect_account);
-  enc.str(collect_owner);
-  enc.str(currency);
-  enc.u64(amount);
-  enc.boolean(from_hold);
-  enc.u64(hold_release);
-  enc.i64(expires_at);
-  enc.bytes(reply_payload);
-}
-
-AccountingServer::SettleRecord AccountingServer::SettleRecord::decode(
-    wire::Decoder& dec) {
-  SettleRecord r;
-  r.grantor = dec.str();
-  r.check_number = dec.u64();
-  r.payor_account = dec.str();
-  r.collect_account = dec.str();
-  r.collect_owner = dec.str();
-  r.currency = dec.str();
-  r.amount = dec.u64();
-  r.from_hold = dec.boolean();
-  r.hold_release = dec.u64();
-  r.expires_at = dec.i64();
-  r.reply_payload = dec.bytes();
-  return r;
-}
-
-void AccountingServer::ForeignSettledRecord::encode(wire::Encoder& enc) const {
-  enc.str(grantor);
-  enc.u64(check_number);
-  enc.str(collect_account);
-  enc.str(collect_owner);
-  enc.str(currency);
-  enc.u64(amount);
-  enc.i64(expires_at);
-  enc.bytes(reply_payload);
-}
-
-AccountingServer::ForeignSettledRecord
-AccountingServer::ForeignSettledRecord::decode(wire::Decoder& dec) {
-  ForeignSettledRecord r;
-  r.grantor = dec.str();
-  r.check_number = dec.u64();
-  r.collect_account = dec.str();
-  r.collect_owner = dec.str();
-  r.currency = dec.str();
-  r.amount = dec.u64();
-  r.expires_at = dec.i64();
-  r.reply_payload = dec.bytes();
-  return r;
-}
-
-void AccountingServer::CashierRecord::encode(wire::Encoder& enc) const {
-  enc.str(account);
-  enc.str(currency);
-  enc.u64(amount);
-}
-
-AccountingServer::CashierRecord AccountingServer::CashierRecord::decode(
-    wire::Decoder& dec) {
-  CashierRecord r;
-  r.account = dec.str();
-  r.currency = dec.str();
-  r.amount = dec.u64();
-  return r;
-}
-
-void AccountingServer::MigrateInRecord::encode(wire::Encoder& enc) const {
-  spec.encode(enc);
-  enc.seq(accounts,
-          [](wire::Encoder& e, const MigratedAccount& a) { a.encode(e); });
-}
-
-AccountingServer::MigrateInRecord AccountingServer::MigrateInRecord::decode(
-    wire::Decoder& dec) {
-  MigrateInRecord r;
-  r.spec = MigrationSpec::decode(dec);
-  r.accounts = dec.seq<MigratedAccount>(
-      [](wire::Decoder& d) { return MigratedAccount::decode(d); });
-  return r;
-}
-
-void AccountingServer::ReplApplyRecord::encode(wire::Encoder& enc) const {
-  enc.str(source);
-  enc.u64(source_lsn);
-  enc.u16(inner_type);
-  enc.bytes(inner_payload);
-}
-
-AccountingServer::ReplApplyRecord AccountingServer::ReplApplyRecord::decode(
-    wire::Decoder& dec) {
-  ReplApplyRecord r;
-  r.source = dec.str();
-  r.source_lsn = dec.u64();
-  r.inner_type = dec.u16();
-  r.inner_payload = dec.bytes();
-  return r;
-}
-
-void AccountingServer::IdentityAdoptRecord::encode(wire::Encoder& enc) const {
-  enc.str(name);
-}
-
-AccountingServer::IdentityAdoptRecord
-AccountingServer::IdentityAdoptRecord::decode(wire::Decoder& dec) {
-  IdentityAdoptRecord r;
-  r.name = dec.str();
-  return r;
 }
 
 namespace {
@@ -755,15 +1139,21 @@ thread_local std::uint64_t t_uncommitted_lsn = 0;
 }  // namespace
 
 template <typename Record>
-util::Status AccountingServer::journal_append_(JournalRecordType type,
-                                               const Record& record) {
+util::Status AccountingServer::apply_and_journal_(const Record& record) {
+  RPROXY_RETURN_IF_ERROR(apply_(record, config_.clock->now()));
+  return journal_append_(record);
+}
+
+template <typename Record>
+util::Status AccountingServer::journal_append_(const Record& record) {
   if (!log_.has_value()) return util::Status::ok();
   if (storage_dead_.load()) {
     return util::fail(ErrorCode::kUnavailable,
                       "accounting storage already failed");
   }
-  util::Result<std::uint64_t> lsn = log_->append(
-      static_cast<std::uint16_t>(type), wire::encode_to_bytes(record));
+  util::Result<std::uint64_t> lsn =
+      log_->append(static_cast<std::uint16_t>(Record::kType),
+                   wire::encode_to_bytes(record));
   if (!lsn.is_ok()) {
     // The mutation this record covers was applied in memory but is NOT
     // durable.  Treat the process as dead: handle() refuses everything
@@ -775,6 +1165,19 @@ util::Status AccountingServer::journal_append_(JournalRecordType type,
     t_uncommitted_lsn = lsn.value();
   }
   return util::Status::ok();
+}
+
+template <typename Body>
+util::Status AccountingServer::journaled_call_(Body&& body) {
+  // Clear any LSN an earlier setup call or revocation listener left on
+  // this thread (possibly on another server's journal), exactly as
+  // handle() does, so only this call's records are committed below.
+  t_uncommitted_lsn = 0;
+  {
+    std::lock_guard lock(state_mutex_);
+    RPROXY_RETURN_IF_ERROR(body());
+  }
+  return commit_pending_();
 }
 
 util::Status AccountingServer::recover() {
@@ -795,11 +1198,12 @@ util::Status AccountingServer::recover() {
     RPROXY_RETURN_IF_ERROR(
         restore(*config_.storage_key, recovered.snapshot->sealed));
   }
-  for (const storage::JournalRecord& record : recovered.tail) {
-    RPROXY_RETURN_IF_ERROR(apply_record_(record));
-  }
   {
+    const util::TimePoint now = config_.clock->now();
     std::lock_guard lock(state_mutex_);
+    for (const storage::JournalRecord& record : recovered.tail) {
+      RPROXY_RETURN_IF_ERROR(apply_record_locked_(record, now));
+    }
     log_.emplace(std::move(log));
     storage_dead_.store(false);
   }
@@ -813,7 +1217,7 @@ util::Status AccountingServer::recover() {
         [this](const core::RevocationRegistry::Event& event) {
           std::lock_guard lock(state_mutex_);
           if (!log_.has_value() || storage_dead_.load()) return;
-          (void)journal_append_(JournalRecordType::kRevocation, event);
+          (void)journal_append_(RevocationRecord{event});
         });
   }
   return util::Status::ok();
@@ -884,64 +1288,39 @@ util::Status AccountingServer::apply_replicated(
   // A record already wrapped by an upstream standby (the new primary was
   // itself a standby once — its journal is full of kReplApply frames) is
   // unwrapped and re-stamped with THIS link's source/source_lsn: the
-  // inner effect is what replicates, the watermark is per-link.
-  storage::JournalRecord inner = record;
-  if (static_cast<JournalRecordType>(record.type) ==
-      JournalRecordType::kReplApply) {
-    wire::Decoder dec(record.payload);
-    ReplApplyRecord wrapped = ReplApplyRecord::decode(dec);
-    RPROXY_RETURN_IF_ERROR(dec.finish());
-    inner.type = wrapped.inner_type;
-    inner.payload = std::move(wrapped.inner_payload);
+  // inner effect is what replicates, the watermark is per-link.  Only one
+  // level is unwrapped; the kReplApply applier refuses a wrapper whose
+  // inner record is itself a wrapper.
+  ReplApplyRecord wrapper{source, source_lsn, record.type, record.payload};
+  if (record.type == static_cast<std::uint16_t>(ReplApplyRecord::kType)) {
+    RPROXY_ASSIGN_OR_RETURN(
+        ReplApplyRecord wrapped,
+        wire::decode_from_bytes<ReplApplyRecord>(record.payload));
+    wrapper.inner_type = wrapped.inner_type;
+    wrapper.inner_payload = std::move(wrapped.inner_payload);
   }
-  ReplApplyRecord wrapper;
-  wrapper.source = source;
-  wrapper.source_lsn = source_lsn;
-  wrapper.inner_type = inner.type;
-  wrapper.inner_payload = inner.payload;
-
-  const util::TimePoint now = config_.clock->now();
-  std::uint64_t pending = 0;
-  {
-    // ONE lock hold covers effect + journal + watermark: a concurrent
-    // snapshot can never observe the effect without the watermark that
-    // makes its resend-safety story true.
-    std::lock_guard lock(state_mutex_);
-    std::uint64_t& mark = repl_watermarks_[source];
-    if (source_lsn != 0 && source_lsn <= mark) {
-      return util::Status::ok();  // duplicate resend below the watermark
-    }
-    // Replay through the same appliers recovery uses: idempotent against
-    // the dedup tables / migration-id sets, so a shipper resending from an
-    // older watermark is harmless.
-    RPROXY_RETURN_IF_ERROR(apply_record_locked_(inner, now));
-    mark = std::max(mark, source_lsn);
-    // Standbys with their own storage re-journal effect + watermark as one
-    // kReplApply frame, so a promoted replica is itself durable AND a
-    // restarted one knows where to resume (its LSN space is local).
-    if (log_.has_value() && !storage_dead_.load()) {
-      util::Result<std::uint64_t> lsn =
-          log_->append(static_cast<std::uint16_t>(JournalRecordType::kReplApply),
-                       wire::encode_to_bytes(wrapper));
-      if (!lsn.is_ok()) {
-        storage_dead_.store(true);
-        return lsn.status();
-      }
-      if (config_.fsync_policy == storage::FsyncPolicy::kGroup) {
-        pending = lsn.value();
-      }
-    }
+  if (storage_dead_.load()) {
+    // A replica that can no longer persist must not advance its watermark
+    // (or ack) as if it could.
+    return util::fail(ErrorCode::kUnavailable,
+                      "accounting storage already failed");
   }
-  if (pending != 0) {
-    // Same barrier as handle(): commit outside state_mutex_ (log_ is
-    // engaged by recover() before replication starts and stable after).
-    const util::Status committed = log_->commit(pending);
-    if (!committed.is_ok()) {
-      storage_dead_.store(true);
-      return committed;
+  // ONE lock hold covers effect + journal + watermark: a concurrent
+  // snapshot can never observe the effect without the watermark that
+  // makes its resend-safety story true.  Standbys with their own storage
+  // journal effect + watermark as one kReplApply frame, so a promoted
+  // replica is itself durable AND a restarted one knows where to resume
+  // (its LSN space is local).
+  return journaled_call_([&] {
+    auto mark = repl_watermarks_.find(source);
+    if (source_lsn != 0 && mark != repl_watermarks_.end() &&
+        source_lsn <= mark->second) {
+      // A resend below the watermark is not journaled again: a downstream
+      // standby would re-stamp it with a fresh LSN and re-apply it.
+      return util::Status::ok();
     }
-  }
-  return util::Status::ok();
+    return apply_and_journal_(wrapper);
+  });
 }
 
 std::uint64_t AccountingServer::replication_watermark(
@@ -952,16 +1331,10 @@ std::uint64_t AccountingServer::replication_watermark(
 }
 
 util::Status AccountingServer::adopt_identity(const PrincipalName& name) {
-  {
-    std::lock_guard lock(state_mutex_);
-    if (adopted_identities_.contains(name) || name == config_.name) {
-      return util::Status::ok();
-    }
-    adopted_identities_.insert(name);
-    RPROXY_RETURN_IF_ERROR(journal_append_(JournalRecordType::kIdentityAdopt,
-                                           IdentityAdoptRecord{name}));
-  }
-  return commit_pending_();
+  return journaled_call_([&] {
+    if (is_local_drawee_locked_(name)) return util::Status::ok();
+    return apply_and_journal_(IdentityAdoptRecord{name});
+  });
 }
 
 bool AccountingServer::identity_adopted(const PrincipalName& name) const {
@@ -985,285 +1358,14 @@ void AccountingServer::set_replication_barrier(
   barrier_ = std::move(next);
 }
 
-util::Status AccountingServer::apply_record_(
-    const storage::JournalRecord& record) {
-  const util::TimePoint now = config_.clock->now();
-  std::lock_guard lock(state_mutex_);
-  return apply_record_locked_(record, now);
-}
-
-util::Status AccountingServer::apply_record_locked_(
-    const storage::JournalRecord& record, const util::TimePoint now) {
-  wire::Decoder dec(record.payload);
-  switch (static_cast<JournalRecordType>(record.type)) {
-    case JournalRecordType::kAccountOpen: {
-      AccountOpenRecord rec = AccountOpenRecord::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      open_account_(rec.name, rec.owner, std::move(rec.initial));
-      return util::Status::ok();
-    }
-    case JournalRecordType::kRouteSet: {
-      const RouteSetRecord rec = RouteSetRecord::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      routes_[rec.drawee] = rec.via;
-      return util::Status::ok();
-    }
-    case JournalRecordType::kTransfer: {
-      const TransferRecord rec = TransferRecord::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      return apply_transfer_(rec);
-    }
-    case JournalRecordType::kCertify: {
-      const CertifyRecord rec = CertifyRecord::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      return apply_certify_(rec, now);
-    }
-    case JournalRecordType::kSettleLocal: {
-      const SettleRecord rec = SettleRecord::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      return apply_settle_(rec, now);
-    }
-    case JournalRecordType::kForeignSettled: {
-      const ForeignSettledRecord rec = ForeignSettledRecord::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      return apply_foreign_(rec, now);
-    }
-    case JournalRecordType::kCashier: {
-      const CashierRecord rec = CashierRecord::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      return apply_cashier_(rec);
-    }
-    case JournalRecordType::kRevocation: {
-      const core::RevocationRegistry::Event event =
-          core::RevocationRegistry::Event::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      // Idempotent: epochs/cutoffs take the max, list entries accumulate —
-      // a record also covered by the snapshot merge applies once.
-      if (config_.revocation != nullptr) config_.revocation->apply(event);
-      return util::Status::ok();
-    }
-    case JournalRecordType::kMigrateFreeze: {
-      MigrationSpec spec = MigrationSpec::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      frozen_[spec.migration_id] = std::move(spec);
-      return util::Status::ok();
-    }
-    case JournalRecordType::kMigrateIn: {
-      const MigrateInRecord rec = MigrateInRecord::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      // Idempotent under the migration id — unless the dedup ablation is
-      // on, in which case a record surviving in both snapshot and journal
-      // tail double-credits (the chaos teeth test).
-      if (config_.enable_dedup &&
-          applied_migrations_.contains(rec.spec.migration_id)) {
-        return util::Status::ok();
-      }
-      apply_migrate_in_(rec);
-      return util::Status::ok();
-    }
-    case JournalRecordType::kMigrateOut: {
-      const MigrationSpec spec = MigrationSpec::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      apply_migrate_out_(spec);
-      return util::Status::ok();
-    }
-    case JournalRecordType::kReplApply: {
-      ReplApplyRecord rec = ReplApplyRecord::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      // Effect + watermark replay as one unit, mirroring how they were
-      // written.  Recursion depth is 1: apply_replicated() always unwraps
-      // before re-wrapping, so a wrapper never nests another wrapper.
-      std::uint64_t& mark = repl_watermarks_[rec.source];
-      if (rec.source_lsn != 0 && rec.source_lsn <= mark) {
-        return util::Status::ok();  // already covered (non-idempotent
-                                    // inner records must not re-apply)
-      }
-      storage::JournalRecord inner;
-      inner.lsn = record.lsn;
-      inner.type = rec.inner_type;
-      inner.payload = std::move(rec.inner_payload);
-      RPROXY_RETURN_IF_ERROR(apply_record_locked_(inner, now));
-      mark = std::max(mark, rec.source_lsn);
-      return util::Status::ok();
-    }
-    case JournalRecordType::kIdentityAdopt: {
-      const IdentityAdoptRecord rec = IdentityAdoptRecord::decode(dec);
-      RPROXY_RETURN_IF_ERROR(dec.finish());
-      adopted_identities_.insert(rec.name);
-      return util::Status::ok();
-    }
-  }
-  return util::fail(ErrorCode::kParseError,
-                    "journal record " + std::to_string(record.lsn) +
-                        " has unknown type " + std::to_string(record.type) +
-                        " (written by a newer server?)");
-}
-
-util::Status AccountingServer::apply_transfer_(const TransferRecord& rec) {
-  Account* from = find_account_(rec.from_account);
-  Account* to = find_account_(rec.to_account);
-  if (from == nullptr || to == nullptr) {
-    return util::fail(ErrorCode::kParseError,
-                      "journaled transfer names an unknown account");
-  }
-  RPROXY_RETURN_IF_ERROR(
-      from->debit(rec.currency, static_cast<std::int64_t>(rec.amount)));
-  to->credit(rec.currency, static_cast<std::int64_t>(rec.amount));
-  return util::Status::ok();
-}
-
-util::Status AccountingServer::apply_certify_(const CertifyRecord& rec,
-                                              util::TimePoint now) {
-  const DedupKey key{rec.payor, rec.check_number};
-  if (completed_certifies_.contains(key) || certified_.contains(key)) {
-    return util::Status::ok();  // duplicate replay of an applied record
-  }
-  Account* acct = find_account_(rec.account);
-  if (acct == nullptr) {
-    return util::fail(ErrorCode::kParseError,
-                      "journaled certification names an unknown account");
-  }
-  RPROXY_RETURN_IF_ERROR(
-      acct->place_hold(rec.currency, static_cast<std::int64_t>(rec.amount)));
-  certified_[key] = CertifiedHold{rec.payor, rec.account, rec.currency,
-                                  rec.amount, rec.hold_until};
-  if (config_.enable_dedup) {
-    record_completed_(completed_certifies_, key,
-                      util::Bytes(rec.reply_payload), rec.hold_until, now);
-  }
-  return util::Status::ok();
-}
-
-util::Status AccountingServer::apply_settle_(const SettleRecord& rec,
-                                             util::TimePoint now) {
-  const DedupKey key{rec.grantor, rec.check_number};
-  if (config_.enable_dedup && completed_deposits_.contains(key)) {
-    return util::Status::ok();  // duplicate replay of an applied record
-  }
-  Account* payor = find_account_(rec.payor_account);
-  if (payor == nullptr) {
-    return util::fail(ErrorCode::kParseError,
-                      "journaled settlement names an unknown payor account");
-  }
-  if (rec.from_hold) {
-    RPROXY_RETURN_IF_ERROR(payor->debit_held(
-        rec.currency, static_cast<std::int64_t>(rec.amount)));
-    if (rec.hold_release > 0) {
-      payor->release_hold(rec.currency,
-                          static_cast<std::int64_t>(rec.hold_release));
-    }
-    certified_.erase(key);
-  } else {
-    RPROXY_RETURN_IF_ERROR(
-        payor->debit(rec.currency, static_cast<std::int64_t>(rec.amount)));
-  }
-  Account* collect = find_account_(rec.collect_account);
-  if (collect == nullptr) {
-    open_account_(rec.collect_account, rec.collect_owner);
-    collect = find_account_(rec.collect_account);
-  }
-  collect->credit(rec.currency, static_cast<std::int64_t>(rec.amount));
-  if (config_.enable_dedup) {
-    record_completed_(completed_deposits_, key, util::Bytes(rec.reply_payload),
-                      rec.expires_at, now);
-  }
-  return util::Status::ok();
-}
-
-util::Status AccountingServer::apply_foreign_(const ForeignSettledRecord& rec,
-                                              util::TimePoint now) {
-  const DedupKey key{rec.grantor, rec.check_number};
-  if (config_.enable_dedup && completed_deposits_.contains(key)) {
-    return util::Status::ok();  // duplicate replay of an applied record
-  }
-  // The provisional credit was never journaled (a crash mid-collection
-  // correctly forgets it), so replay performs the credit the record
-  // commits.
-  Account* collect = find_account_(rec.collect_account);
-  if (collect == nullptr) {
-    open_account_(rec.collect_account, rec.collect_owner);
-    collect = find_account_(rec.collect_account);
-  }
-  collect->credit(rec.currency, static_cast<std::int64_t>(rec.amount));
-  if (config_.enable_dedup) {
-    record_completed_(completed_deposits_, key, util::Bytes(rec.reply_payload),
-                      rec.expires_at, now);
-  }
-  return util::Status::ok();
-}
-
-util::Status AccountingServer::apply_cashier_(const CashierRecord& rec) {
-  Account* acct = find_account_(rec.account);
-  if (acct == nullptr) {
-    return util::fail(ErrorCode::kParseError,
-                      "journaled cashier purchase names an unknown account");
-  }
-  RPROXY_RETURN_IF_ERROR(
-      acct->debit(rec.currency, static_cast<std::int64_t>(rec.amount)));
-  if (find_account_(std::string(kCashierAccount)) == nullptr) {
-    open_account_(std::string(kCashierAccount), config_.name);
-  }
-  find_account_(std::string(kCashierAccount))
-      ->credit(rec.currency, static_cast<std::int64_t>(rec.amount));
-  return util::Status::ok();
-}
-
-void AccountingServer::apply_migrate_in_(const MigrateInRecord& rec) {
-  for (const MigratedAccount& migrated : rec.accounts) {
-    // insert_or_assign: a stale local copy (e.g. a range migrating back)
-    // is replaced wholesale by the exporter's authoritative state.
-    open_account_(migrated.name, migrated.owner, migrated.balances);
-    Account* acct = find_account_(migrated.name);
-    for (const MigratedAccount::Hold& hold : migrated.holds) {
-      // The exported balance already includes the held amount; re-placing
-      // the hold only re-marks it unavailable.  A hold that no longer fits
-      // (possible only under the dedup-off double-import ablation) is
-      // dropped rather than wedging recovery.
-      if (!acct->place_hold(hold.currency,
-                            static_cast<std::int64_t>(hold.amount))
-               .is_ok()) {
-        continue;
-      }
-      certified_[{hold.payor, hold.check_number}] =
-          CertifiedHold{hold.payor, migrated.name, hold.currency, hold.amount,
-                        hold.expires_at};
-    }
-  }
-  if (config_.enable_dedup) {
-    applied_migrations_.insert(rec.spec.migration_id);
-  }
-}
-
-void AccountingServer::apply_migrate_out_(const MigrationSpec& spec) {
-  for (auto it = accounts_.begin(); it != accounts_.end();) {
-    const std::string& name = it->first;
-    const bool exempt = name == kCashierAccount || name.rfind("peer:", 0) == 0;
-    if (!exempt && spec.covers(name)) {
-      for (auto cert = certified_.begin(); cert != certified_.end();) {
-        if (cert->second.account == name) {
-          cert = certified_.erase(cert);
-        } else {
-          ++cert;
-        }
-      }
-      it = accounts_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  frozen_.erase(spec.migration_id);
-}
-
 // --------------------------------------------------------------------------
 
 void AccountingServer::set_route(const PrincipalName& drawee,
                                  const PrincipalName& via) {
   std::lock_guard lock(state_mutex_);
-  routes_[drawee] = via;
   // Setup API: a journal failure here marks the server storage-dead (it
   // will refuse all requests), which is all a void API can do.
-  (void)journal_append_(JournalRecordType::kRouteSet,
-                        RouteSetRecord{drawee, via});
+  (void)apply_and_journal_(RouteSetRecord{drawee, via});
 }
 
 util::Status AccountingServer::migration_freeze(const MigrationSpec& spec) {
@@ -1272,16 +1374,10 @@ util::Status AccountingServer::migration_freeze(const MigrationSpec& spec) {
                       "freeze addressed to '" + spec.source + "', not '" +
                           config_.name + "'");
   }
-  {
-    std::lock_guard lock(state_mutex_);
-    if (!frozen_.contains(spec.migration_id)) {
-      frozen_[spec.migration_id] = spec;
-      const util::Status logged =
-          journal_append_(JournalRecordType::kMigrateFreeze, spec);
-      if (!logged.is_ok()) return logged;
-    }
-  }
-  return commit_pending_();
+  return journaled_call_([&] {
+    if (frozen_.contains(spec.migration_id)) return util::Status::ok();
+    return apply_and_journal_(MigrateFreezeRecord{spec});
+  });
 }
 
 util::Result<std::vector<MigratedAccount>> AccountingServer::migration_export(
@@ -1295,8 +1391,7 @@ util::Result<std::vector<MigratedAccount>> AccountingServer::migration_export(
   }
   std::vector<MigratedAccount> out;
   for (const auto& [name, account] : accounts_) {
-    const bool exempt = name == kCashierAccount || name.rfind("peer:", 0) == 0;
-    if (exempt || !spec.covers(name)) continue;
+    if (is_infrastructure_account(name) || !spec.covers(name)) continue;
     MigratedAccount migrated;
     migrated.name = name;
     migrated.owner = account.owner();
@@ -1319,19 +1414,13 @@ util::Status AccountingServer::migration_import(
                       "import addressed to '" + spec.target + "', not '" +
                           config_.name + "'");
   }
-  {
-    std::lock_guard lock(state_mutex_);
+  return journaled_call_([&] {
     if (config_.enable_dedup &&
         applied_migrations_.contains(spec.migration_id)) {
       return util::Status::ok();  // re-driven migration: already imported
     }
-    MigrateInRecord record{spec, accounts};
-    apply_migrate_in_(record);
-    const util::Status logged =
-        journal_append_(JournalRecordType::kMigrateIn, record);
-    if (!logged.is_ok()) return logged;
-  }
-  return commit_pending_();
+    return apply_and_journal_(MigrateInRecord{spec, accounts});
+  });
 }
 
 util::Status AccountingServer::migration_evacuate(const MigrationSpec& spec) {
@@ -1340,26 +1429,17 @@ util::Status AccountingServer::migration_evacuate(const MigrationSpec& spec) {
                       "evacuate addressed to '" + spec.source + "', not '" +
                           config_.name + "'");
   }
-  {
-    std::lock_guard lock(state_mutex_);
-    const bool has_freeze = frozen_.contains(spec.migration_id);
-    bool has_accounts = false;
-    for (const auto& [name, account] : accounts_) {
-      const bool exempt =
-          name == kCashierAccount || name.rfind("peer:", 0) == 0;
-      if (!exempt && spec.covers(name)) {
-        has_accounts = true;
-        break;
-      }
+  return journaled_call_([&] {
+    const bool has_accounts = std::any_of(
+        accounts_.begin(), accounts_.end(), [&](const auto& entry) {
+          return !is_infrastructure_account(entry.first) &&
+                 spec.covers(entry.first);
+        });
+    if (!frozen_.contains(spec.migration_id) && !has_accounts) {
+      return util::Status::ok();  // already evacuated
     }
-    if (has_freeze || has_accounts) {
-      apply_migrate_out_(spec);
-      const util::Status logged =
-          journal_append_(JournalRecordType::kMigrateOut, spec);
-      if (!logged.is_ok()) return logged;
-    }
-  }
-  return commit_pending_();
+    return apply_and_journal_(MigrateOutRecord{spec});
+  });
 }
 
 bool AccountingServer::migration_applied(std::uint64_t migration_id) const {
@@ -1376,15 +1456,14 @@ util::Status AccountingServer::commit_pending_() {
   if (t_uncommitted_lsn == 0) return util::Status::ok();
   const std::uint64_t lsn = t_uncommitted_lsn;
   t_uncommitted_lsn = 0;
+  // log_ is engaged by recover() before serving starts and stable after.
   const util::Status committed = log_->commit(lsn);
   if (!committed.is_ok()) storage_dead_.store(true);
   return committed;
 }
 
 util::Status AccountingServer::shard_gate_(const std::string& account) const {
-  if (account == kCashierAccount || account.rfind("peer:", 0) == 0) {
-    return util::Status::ok();
-  }
+  if (is_infrastructure_account(account)) return util::Status::ok();
   std::uint64_t version = 0;
   if (config_.shard != nullptr &&
       !config_.shard->owns(config_.name, account, &version)) {
@@ -1430,6 +1509,23 @@ util::Result<PrincipalName> AccountingServer::authenticate_(
   return who.front();
 }
 
+util::Result<Account*> AccountingServer::authorized_account_(
+    const std::string& account, const PrincipalName& who,
+    const Operation& right) {
+  Account* acct = find_account_(account);
+  if (acct == nullptr) {
+    return util::fail(ErrorCode::kNotFound, "no account '" + account + "'");
+  }
+  authz::AuthorityContext authority;
+  authority.principals = {who};
+  if (!acct->authorizes(authority, right)) {
+    return util::fail(ErrorCode::kPermissionDenied,
+                      "'" + who + "' may not " + right + " '" + account +
+                          "'");
+  }
+  return acct;
+}
+
 net::Envelope AccountingServer::handle(const net::Envelope& request) {
   if (fenced_.load()) {
     // A standby promoted itself under a newer epoch (DESIGN.md §5h): this
@@ -1462,22 +1558,15 @@ net::Envelope AccountingServer::handle(const net::Envelope& request) {
   // park on one shared fsync instead of serializing the whole server.
   t_uncommitted_lsn = 0;  // a revocation listener may have left a residue
   net::Envelope reply = handle_dispatch_(request);
-  if (t_uncommitted_lsn != 0) {
-    const std::uint64_t lsn = t_uncommitted_lsn;
-    t_uncommitted_lsn = 0;
-    // log_ is engaged by recover() before serving starts and stable after.
-    const util::Status committed = log_->commit(lsn);
-    if (!committed.is_ok()) {
-      // The record may or may not be on disk; the in-memory mutation is
-      // applied either way.  Same resolution as an append failure: this
-      // "process" is dead, the reply is withheld, and the client's retry
-      // against a recovered server settles what actually survived.
-      storage_dead_.store(true);
-      return net::make_error_reply(
-          request, util::fail(ErrorCode::kUnavailable,
-                              "accounting server '" + config_.name +
-                                  "' is down (group fsync failed)"));
-    }
+  if (!commit_pending_().is_ok()) {
+    // The record may or may not be on disk; the in-memory mutation is
+    // applied either way.  Same resolution as an append failure: this
+    // "process" is dead, the reply is withheld, and the client's retry
+    // against a recovered server settles what actually survived.
+    return net::make_error_reply(
+        request, util::fail(ErrorCode::kUnavailable,
+                            "accounting server '" + config_.name +
+                                "' is down (group fsync failed)"));
   }
   // Semi-synchronous replication barrier (DESIGN.md §5h): a non-error
   // reply leaves only after every standby acknowledged the durable
@@ -1582,20 +1671,9 @@ net::Envelope AccountingServer::handle_query_(const net::Envelope& request) {
   if (!who.is_ok()) return net::make_error_reply(request, who.status());
 
   std::lock_guard lock(state_mutex_);
-  const Account* acct = find_account_(req.account);
-  if (acct == nullptr) {
-    return net::make_error_reply(
-        request, util::fail(ErrorCode::kNotFound,
-                            "no account '" + req.account + "'"));
-  }
-  authz::AuthorityContext authority;
-  authority.principals = {who.value()};
-  if (!acct->authorizes(authority, "query")) {
-    return net::make_error_reply(
-        request, util::fail(ErrorCode::kPermissionDenied,
-                            "'" + who.value() + "' may not query '" +
-                                req.account + "'"));
-  }
+  auto found = authorized_account_(req.account, who.value(), "query");
+  if (!found.is_ok()) return net::make_error_reply(request, found.status());
+  const Account* acct = found.value();
 
   AccountReplyPayload reply;
   reply.balances = acct->balances();
@@ -1631,32 +1709,17 @@ net::Envelope AccountingServer::handle_transfer_(
   if (!who.is_ok()) return net::make_error_reply(request, who.status());
 
   std::lock_guard lock(state_mutex_);
-  Account* from = find_account_(req.from_account);
-  Account* to = find_account_(req.to_account);
-  if (from == nullptr || to == nullptr) {
+  auto from = authorized_account_(req.from_account, who.value(), "debit");
+  if (!from.is_ok()) return net::make_error_reply(request, from.status());
+  if (find_account_(req.to_account) == nullptr) {
     return net::make_error_reply(
-        request, util::fail(ErrorCode::kNotFound, "no such account"));
+        request, util::fail(ErrorCode::kNotFound,
+                            "no account '" + req.to_account + "'"));
   }
-  authz::AuthorityContext authority;
-  authority.principals = {who.value()};
-  if (!from->authorizes(authority, "debit")) {
-    return net::make_error_reply(
-        request,
-        util::fail(ErrorCode::kPermissionDenied,
-                   "'" + who.value() + "' may not debit '" +
-                       req.from_account + "'"));
-  }
-  util::Status debited =
-      from->debit(req.currency, static_cast<std::int64_t>(req.amount));
-  if (!debited.is_ok()) return net::make_error_reply(request, debited);
-  to->credit(req.currency, static_cast<std::int64_t>(req.amount));
-
   // Write-ahead: the reply leaves only once the record is journaled.
-  const util::Status logged = journal_append_(
-      JournalRecordType::kTransfer,
-      TransferRecord{req.from_account, req.to_account, req.currency,
-                     req.amount});
-  if (!logged.is_ok()) return net::make_error_reply(request, logged);
+  const util::Status moved = apply_and_journal_(TransferRecord{
+      req.from_account, req.to_account, req.currency, req.amount});
+  if (!moved.is_ok()) return net::make_error_reply(request, moved);
 
   return net::make_reply(request, net::MsgType::kTransferReply,
                          TransferReplyPayload{true});
@@ -1686,31 +1749,13 @@ net::Envelope AccountingServer::handle_certify_(const net::Envelope& request) {
     // reply) gets the original certification back instead of a kReplay
     // bounce — the hold it describes is still in place.  Keyed post-
     // authentication, so only the payor can fetch it.
-    if (config_.enable_dedup) {
-      if (const CompletedOp* done =
-              find_completed_(completed_certifies_, dedup_key)) {
-        deduped_replies_ += 1;
-        return net::make_reply(request, net::MsgType::kCertifyReply,
-                               util::Bytes(done->reply_payload));
-      }
+    if (auto done = replay_completed_(completed_certifies_, dedup_key)) {
+      return net::make_reply(request, net::MsgType::kCertifyReply,
+                             std::move(*done));
     }
-    Account* acct = find_account_(req.account);
-    if (acct == nullptr) {
-      return net::make_error_reply(
-          request, util::fail(ErrorCode::kNotFound,
-                              "no account '" + req.account + "'"));
-    }
-    authz::AuthorityContext authority;
-    authority.principals = {who.value()};
-    if (!acct->authorizes(authority, "debit")) {
-      return net::make_error_reply(
-          request, util::fail(ErrorCode::kPermissionDenied,
-                              "'" + who.value() + "' may not draw on '" +
-                                  req.account + "'"));
-    }
-
-    const auto key = std::make_pair(who.value(), req.check_number);
-    if (certified_.contains(key) ||
+    auto acct = authorized_account_(req.account, who.value(), "debit");
+    if (!acct.is_ok()) return net::make_error_reply(request, acct.status());
+    if (certified_.contains(dedup_key) ||
         accept_once_.seen(who.value(), req.check_number, now)) {
       // Outstanding hold OR a check with this number already cleared within
       // its window (§7.7: the check number is remembered until expiry).
@@ -1718,12 +1763,6 @@ net::Envelope AccountingServer::handle_certify_(const net::Envelope& request) {
           request, util::fail(ErrorCode::kReplay,
                               "check number already certified or spent"));
     }
-    util::Status held =
-        acct->place_hold(req.currency, static_cast<std::int64_t>(req.amount));
-    if (!held.is_ok()) return net::make_error_reply(request, held);
-
-    certified_[key] = CertifiedHold{who.value(), req.account, req.currency,
-                                    req.amount, hold_until};
 
     // The certification proxy: this server asserts, to the target server,
     // that the hold exists.  Delegate proxy for the payor (no secret to
@@ -1731,7 +1770,8 @@ net::Envelope AccountingServer::handle_certify_(const net::Envelope& request) {
     // hold placement and the dedup record are one atomic step — a racer
     // arriving between them would see the hold but no stored reply and
     // bounce with a spurious kReplay.  (No network I/O happens here, so
-    // the never-hold-locks-across-network rule is respected.)
+    // the never-hold-locks-across-network rule is respected.)  The signed
+    // reply rides in the record, so it is built before the hold is placed.
     core::RestrictionSet restrictions;
     restrictions.add(core::AuthorizedRestriction{
         {core::ObjectRights{certified_check_object(req.check_number),
@@ -1747,21 +1787,16 @@ net::Envelope AccountingServer::handle_certify_(const net::Envelope& request) {
     CertifyReplyPayload reply;
     reply.certification = certification.chain;
     reply.expires_at = certification.expires_at;
-    util::Bytes reply_payload = wire::encode_to_bytes(reply);
+    CertifyRecord record{who.value(), req.account,      req.currency,
+                         req.amount,  req.check_number, hold_until,
+                         wire::encode_to_bytes(reply)};
     // Write-ahead: the certification (hold + signed reply) must be
     // durable before the client can see it, or a crash would forget a
     // hold the payee is about to rely on.
-    const util::Status logged = journal_append_(
-        JournalRecordType::kCertify,
-        CertifyRecord{who.value(), req.account, req.currency, req.amount,
-                      req.check_number, hold_until, reply_payload});
-    if (!logged.is_ok()) return net::make_error_reply(request, logged);
-    if (config_.enable_dedup) {
-      record_completed_(completed_certifies_, dedup_key,
-                        util::Bytes(reply_payload), hold_until, now);
-    }
+    const util::Status held = apply_and_journal_(record);
+    if (!held.is_ok()) return net::make_error_reply(request, held);
     return net::make_reply(request, net::MsgType::kCertifyReply,
-                           std::move(reply_payload));
+                           std::move(record.reply_payload));
   }
 }
 
@@ -1783,39 +1818,16 @@ net::Envelope AccountingServer::handle_cashier_(
 
   {
     std::lock_guard lock(state_mutex_);
-    Account* acct = find_account_(req.account);
-    if (acct == nullptr) {
-      return net::make_error_reply(
-          request, util::fail(ErrorCode::kNotFound,
-                              "no account '" + req.account + "'"));
-    }
-    authz::AuthorityContext authority;
-    authority.principals = {who.value()};
-    if (!acct->authorizes(authority, "debit")) {
-      return net::make_error_reply(
-          request, util::fail(ErrorCode::kPermissionDenied,
-                              "'" + who.value() + "' may not draw on '" +
-                                  req.account + "'"));
-    }
-
+    auto acct = authorized_account_(req.account, who.value(), "debit");
+    if (!acct.is_ok()) return net::make_error_reply(request, acct.status());
     // Funds move NOW — that is what makes the check good as gold.
-    util::Status debited =
-        acct->debit(req.currency, static_cast<std::int64_t>(req.amount));
-    if (!debited.is_ok()) return net::make_error_reply(request, debited);
-    if (find_account_(std::string(kCashierAccount)) == nullptr) {
-      open_account_(std::string(kCashierAccount), config_.name);
-    }
-    find_account_(std::string(kCashierAccount))
-        ->credit(req.currency, static_cast<std::int64_t>(req.amount));
-
     // Write-ahead: the funds move must be durable before the bank-signed
     // check leaves the building.  (The check itself is a bearer
     // instrument and is not journaled; a crash before the reply simply
     // never issues it, and replay restores the funded cashier account.)
-    const util::Status logged =
-        journal_append_(JournalRecordType::kCashier,
-                        CashierRecord{req.account, req.currency, req.amount});
-    if (!logged.is_ok()) return net::make_error_reply(request, logged);
+    const util::Status funded = apply_and_journal_(
+        CashierRecord{req.account, req.currency, req.amount});
+    if (!funded.is_ok()) return net::make_error_reply(request, funded);
   }
 
   // The check is drawn on the bank's own cashier account and signed by the
@@ -1841,13 +1853,11 @@ net::Envelope AccountingServer::handle_deposit_(const net::Envelope& request) {
   // challenge is already consumed, and the stored reply (cleared/hops)
   // discloses nothing the first reply didn't.
   const auto dedup_key = deposit_dedup_key(req);
-  if (config_.enable_dedup && dedup_key.has_value()) {
+  if (dedup_key.has_value()) {
     std::lock_guard lock(state_mutex_);
-    if (const CompletedOp* done =
-            find_completed_(completed_deposits_, *dedup_key)) {
-      deduped_replies_ += 1;
+    if (auto done = replay_completed_(completed_deposits_, *dedup_key)) {
       return net::make_reply(request, net::MsgType::kDepositReply,
-                             util::Bytes(done->reply_payload));
+                             std::move(*done));
     }
   }
 
@@ -1867,6 +1877,9 @@ net::Envelope AccountingServer::handle_deposit_(const net::Envelope& request) {
   // promoted survivor settles checks drawn on the dead primary's name as
   // its own (the dedup key above is the check's grantor + number, so
   // collections retried across the takeover stay exactly-once).
+  // Only completed settlements are remembered in the dedup table (their
+  // appliers record the entry): a bounced deposit left no state behind,
+  // so retrying it afresh is both safe and desired.
   util::Result<DepositReplyPayload> reply =
       identity_adopted(req.check.payor_account.server)
           ? settle_(req, who.value(), now)
@@ -1875,19 +1888,7 @@ net::Envelope AccountingServer::handle_deposit_(const net::Envelope& request) {
     checks_bounced_ += 1;
     return net::make_error_reply(request, reply.status());
   }
-  checks_cleared_ += 1;
-  util::Bytes reply_payload = wire::encode_to_bytes(reply.value());
-  if (config_.enable_dedup && dedup_key.has_value()) {
-    // Only completed settlements are remembered: a bounced deposit left no
-    // state behind, so retrying it afresh is both safe and desired.
-    const util::TimePoint expiry =
-        req.check.expires_at > now ? req.check.expires_at : now + util::kHour;
-    std::lock_guard lock(state_mutex_);
-    record_completed_(completed_deposits_, *dedup_key,
-                      util::Bytes(reply_payload), expiry, now);
-  }
-  return net::make_reply(request, net::MsgType::kDepositReply,
-                         std::move(reply_payload));
+  return net::make_reply(request, net::MsgType::kDepositReply, reply.value());
 }
 
 util::Result<DepositReplyPayload> AccountingServer::settle_(
@@ -1929,20 +1930,10 @@ util::Result<DepositReplyPayload> AccountingServer::settle_(
       verified.effective_restrictions.evaluate(ctx));
 
   std::lock_guard lock(state_mutex_);
-  Account* payor = find_account_(terms.payor_local_account);
-  if (payor == nullptr) {
-    return util::fail(ErrorCode::kNotFound,
-                      "check drawn on unknown account '" +
-                          terms.payor_local_account + "'");
-  }
-  authz::AuthorityContext authority;
-  authority.principals = {verified.grantor};
-  if (!payor->authorizes(authority, "debit")) {
-    return util::fail(ErrorCode::kPermissionDenied,
-                      "check signer '" + verified.grantor +
-                          "' may not debit '" + terms.payor_local_account +
-                          "' (misdrawn check)");
-  }
+  // A check whose signer may not debit the account it names is misdrawn.
+  RPROXY_RETURN_IF_ERROR(authorized_account_(terms.payor_local_account,
+                                             verified.grantor, "debit")
+                             .status());
 
   SettleRecord record;
   record.grantor = verified.grantor;
@@ -1956,50 +1947,34 @@ util::Result<DepositReplyPayload> AccountingServer::settle_(
 
   // Resolve the collection account BEFORE moving any money, so a deposit
   // naming a bad account bounces cleanly instead of stranding the debit.
-  // Settlement accounts for peer accounting servers are auto-created.
-  Account* collect = find_account_(req.collect_account);
-  if (collect == nullptr) {
-    if (req.collect_account.rfind("peer:", 0) == 0) {
-      open_account_(req.collect_account, presenter);
-      collect = find_account_(req.collect_account);
-    } else {
-      return util::fail(ErrorCode::kNotFound,
-                        "no collection account '" + req.collect_account +
-                            "'");
-    }
+  // Settlement accounts for peer accounting servers are auto-created (by
+  // the applier, under the owner the record names).
+  if (const Account* collect = find_account_(req.collect_account)) {
+    record.collect_owner = collect->owner();
+  } else if (req.collect_account.starts_with("peer:")) {
+    record.collect_owner = presenter;
+  } else {
+    return util::fail(ErrorCode::kNotFound,
+                      "no collection account '" + req.collect_account + "'");
   }
-  record.collect_owner = collect->owner();
 
-  // Certified check?  Settle from the hold.
-  const auto certified_key =
-      std::make_pair(verified.grantor, terms.check_number);
-  if (auto it = certified_.find(certified_key); it != certified_.end()) {
+  // Certified check?  Settle from the hold; any remainder is released.
+  if (auto it = certified_.find({verified.grantor, terms.check_number});
+      it != certified_.end()) {
     record.from_hold = true;
-    // Any remainder of the hold is released.
     if (it->second.amount > req.amount) {
       record.hold_release = it->second.amount - req.amount;
     }
-    RPROXY_RETURN_IF_ERROR(payor->debit_held(
-        terms.currency, static_cast<std::int64_t>(req.amount)));
-    if (record.hold_release > 0) {
-      payor->release_hold(terms.currency,
-                          static_cast<std::int64_t>(record.hold_release));
-    }
-    certified_.erase(it);
-  } else {
-    RPROXY_RETURN_IF_ERROR(payor->debit(
-        terms.currency, static_cast<std::int64_t>(req.amount)));
   }
-  collect->credit(terms.currency, static_cast<std::int64_t>(req.amount));
 
   DepositReplyPayload reply;
   reply.cleared = true;
   reply.hops = 0;
   record.reply_payload = wire::encode_to_bytes(reply);
-  // Write-ahead: the settlement is durable before the cleared reply (and
-  // its dedup entry, recorded by the caller) can exist.
-  RPROXY_RETURN_IF_ERROR(
-      journal_append_(JournalRecordType::kSettleLocal, record));
+  // Write-ahead: the settlement and its dedup entry are durable before the
+  // cleared reply can exist.
+  RPROXY_RETURN_IF_ERROR(apply_and_journal_(record));
+  checks_cleared_ += 1;
   return reply;
 }
 
@@ -2014,31 +1989,39 @@ util::Result<DepositReplyPayload> AccountingServer::collect_foreign_(
 
   const auto pending_key =
       std::make_pair(terms.drawee_server, terms.check_number);
+  const DedupKey dedup_key{verified.grantor, terms.check_number};
   PrincipalName next;
   {
     // Provisional credit under the state lock; the lock is NOT held across
     // the collection RPC below (two banks collecting from each other in
     // parallel would deadlock, and a slow drawee must not stall this node).
     std::lock_guard lock(state_mutex_);
-    Account* collect = find_account_(req.collect_account);
-    if (collect == nullptr) {
-      // Settlement accounts for peer accounting servers (multi-hop
-      // clearing) are auto-created, like in settle_().
-      if (req.collect_account.rfind("peer:", 0) == 0) {
-        open_account_(req.collect_account,
-                      req.collect_account.substr(5));
-        collect = find_account_(req.collect_account);
-      } else {
-        return util::fail(ErrorCode::kNotFound, "no collection account '" +
-                                                    req.collect_account + "'");
-      }
+    // Re-check the dedup table: a retry that missed it in handle_deposit_
+    // while its original was still collecting must not collect again now
+    // that the original has settled (that lock hold erased the
+    // uncollected_ guard and recorded the entry together).
+    if (auto done = replay_completed_(completed_deposits_, dedup_key)) {
+      return wire::decode_from_bytes<DepositReplyPayload>(*done);
     }
-
     if (uncollected_.contains(pending_key)) {
       // Another thread is already collecting this very check.
       return util::fail(ErrorCode::kReplay,
                         "check is already being collected");
     }
+    Account* collect = find_account_(req.collect_account);
+    if (collect == nullptr) {
+      // Settlement accounts for peer accounting servers (multi-hop
+      // clearing) are auto-created, like in settle_(); unjournaled, as
+      // part of the provisional credit (the kForeignSettled applier opens
+      // the account on replay).
+      if (!req.collect_account.starts_with("peer:")) {
+        return util::fail(ErrorCode::kNotFound, "no collection account '" +
+                                                    req.collect_account + "'");
+      }
+      collect =
+          &open_account_(req.collect_account, req.collect_account.substr(5));
+    }
+    RPROXY_RETURN_IF_ERROR(check_amount(req.amount, collect, terms.currency));
 
     // "marks the resources added to S's account as uncollected"
     collect->credit(terms.currency, static_cast<std::int64_t>(req.amount));
@@ -2116,12 +2099,14 @@ util::Result<DepositReplyPayload> AccountingServer::collect_foreign_(
   reply.hops = forwarded.value().hops + 1;
 
   {
+    // Write-ahead commit of the collection, in ONE lock hold with the
+    // guard's erasure and the dedup entry the applier records, so a retry
+    // sees either the guard or the entry, never neither.  The provisional
+    // credit was never journaled (a crash mid-collection forgets it; the
+    // client retries and the drawee's dedup table replays the settlement),
+    // so this record carries the credit and its applier performs it.
     std::lock_guard lock(state_mutex_);
     uncollected_.erase(pending_key);
-    // Write-ahead commit of the collection.  The provisional credit was
-    // never journaled (a crash mid-collection forgets it; the client
-    // retries and the drawee's dedup table replays the settlement), so
-    // this record carries the credit and replay performs it.
     ForeignSettledRecord record;
     record.grantor = verified.grantor;
     record.check_number = terms.check_number;
@@ -2133,18 +2118,16 @@ util::Result<DepositReplyPayload> AccountingServer::collect_foreign_(
     record.reply_payload = wire::encode_to_bytes(reply);
     Account* collect = find_account_(req.collect_account);
     if (collect != nullptr) record.collect_owner = collect->owner();
-    const util::Status logged =
-        journal_append_(JournalRecordType::kForeignSettled, record);
-    if (!logged.is_ok()) {
-      // Keep this process's books balanced on the way down: the credit it
-      // could not make durable is rolled back before the error surfaces.
-      if (collect != nullptr) {
-        (void)collect->debit(terms.currency,
-                             static_cast<std::int64_t>(req.amount));
-      }
-      return logged;
+    const util::Status committed = apply_and_journal_(record);
+    // Retire the provisional credit the record's credit replaces; after
+    // that credit this cannot fail, even if the payee spent the funds.
+    if (collect != nullptr) {
+      (void)collect->balances().debit(terms.currency,
+                                      static_cast<std::int64_t>(req.amount));
     }
+    RPROXY_RETURN_IF_ERROR(committed);
   }
+  checks_cleared_ += 1;
   return reply;
 }
 
@@ -2171,10 +2154,13 @@ void AccountingServer::purge_expired_holds_(util::TimePoint now) {
   }
 }
 
-const AccountingServer::CompletedOp* AccountingServer::find_completed_(
-    const DedupTable& table, const DedupKey& key) const {
+std::optional<util::Bytes> AccountingServer::replay_completed_(
+    const DedupTable& table, const DedupKey& key) {
+  if (!config_.enable_dedup) return std::nullopt;
   auto it = table.find(key);
-  return it == table.end() ? nullptr : &it->second;
+  if (it == table.end()) return std::nullopt;
+  deduped_replies_ += 1;
+  return it->second.reply_payload;
 }
 
 void AccountingServer::record_completed_(DedupTable& table, DedupKey key,

@@ -326,12 +326,11 @@ class AccountingServer final : public net::Node {
   [[nodiscard]] util::Bytes snapshot(const crypto::SymmetricKey& key) const;
 
   /// Restores a snapshot taken with the same key, replacing all accounts
-  /// and holds; revocation state (v4+) is MERGED into the attached
-  /// registry (its state is monotonic, so merging is safe and
-  /// order-insensitive).  Fails (state untouched) on a wrong key,
-  /// tampering, or a truncated / unknown-version payload.  Accepts the
-  /// current v5 format and the earlier v4 (pre-migration), v3
-  /// (pre-revocation) and v2 (pre-routes) formats.
+  /// and holds; revocation state is MERGED into the attached registry
+  /// (its state is monotonic, so merging is safe and order-insensitive).
+  /// Fails (state untouched) on a wrong key, tampering, or a truncated /
+  /// unknown-version payload.  Accepts only the v6 format snapshot()
+  /// writes.
   [[nodiscard]] util::Status restore(const crypto::SymmetricKey& key,
                                      util::BytesView snapshot);
 
@@ -378,9 +377,13 @@ class AccountingServer final : public net::Node {
   /// effect without the watermark (or vice versa) — the shipper's
   /// idempotent resend heals either loss.  Incoming kReplApply wrappers
   /// (a standby-of-a-standby, or frames a promoted primary itself applied
-  /// as a standby) are unwrapped and re-stamped with this link's
-  /// source/source_lsn.  Used by replication::StandbyReplayer; local LSNs
-  /// need not match the primary's.
+  /// as a standby) are unwrapped once and re-stamped with this link's
+  /// source/source_lsn; a wrapper nested inside a wrapper is refused
+  /// (kParseError).  Refuses everything (kUnavailable) once this replica's
+  /// own storage is dead, so a standby that can no longer persist stops
+  /// advancing its watermark.  A refused record leaves the state untouched.
+  /// Used by replication::StandbyReplayer; local LSNs need not match the
+  /// primary's.
   [[nodiscard]] util::Status apply_replicated(
       const storage::JournalRecord& record, const PrincipalName& source,
       std::uint64_t source_lsn);
@@ -520,115 +523,22 @@ class AccountingServer final : public net::Node {
   using DedupKey = std::pair<PrincipalName, std::uint64_t>;
   using DedupTable = std::map<DedupKey, CompletedOp>;
 
-  // Journal record payloads (see JournalRecordType).  Each is written on
-  // the live path after the in-memory mutation succeeds and re-applied
-  // verbatim by recover().
-  struct AccountOpenRecord {
-    std::string name;
-    PrincipalName owner;
-    Balances initial;
-
-    void encode(wire::Encoder& enc) const;
-    static AccountOpenRecord decode(wire::Decoder& dec);
-  };
-  struct RouteSetRecord {
-    PrincipalName drawee;
-    PrincipalName via;
-
-    void encode(wire::Encoder& enc) const;
-    static RouteSetRecord decode(wire::Decoder& dec);
-  };
-  struct TransferRecord {
-    std::string from_account;
-    std::string to_account;
-    Currency currency;
-    std::uint64_t amount = 0;
-
-    void encode(wire::Encoder& enc) const;
-    static TransferRecord decode(wire::Decoder& dec);
-  };
-  struct CertifyRecord {
-    PrincipalName payor;
-    std::string account;
-    Currency currency;
-    std::uint64_t amount = 0;
-    std::uint64_t check_number = 0;
-    util::TimePoint hold_until = 0;
-    util::Bytes reply_payload;  ///< replayed to dedup'd retries
-
-    void encode(wire::Encoder& enc) const;
-    static CertifyRecord decode(wire::Decoder& dec);
-  };
-  struct SettleRecord {
-    PrincipalName grantor;  ///< check signer = dedup key, certified key
-    std::uint64_t check_number = 0;
-    std::string payor_account;
-    std::string collect_account;
-    PrincipalName collect_owner;  ///< owner if replay must (re)open it
-    Currency currency;
-    std::uint64_t amount = 0;
-    bool from_hold = false;            ///< settled out of a certified hold
-    std::uint64_t hold_release = 0;    ///< unhold remainder beyond amount
-    util::TimePoint expires_at = 0;    ///< dedup-entry lifetime
-    util::Bytes reply_payload;
-
-    void encode(wire::Encoder& enc) const;
-    static SettleRecord decode(wire::Decoder& dec);
-  };
-  struct ForeignSettledRecord {
-    PrincipalName grantor;
-    std::uint64_t check_number = 0;
-    std::string collect_account;
-    PrincipalName collect_owner;
-    Currency currency;
-    std::uint64_t amount = 0;
-    util::TimePoint expires_at = 0;
-    util::Bytes reply_payload;
-
-    void encode(wire::Encoder& enc) const;
-    static ForeignSettledRecord decode(wire::Decoder& dec);
-  };
-  struct CashierRecord {
-    std::string account;
-    Currency currency;
-    std::uint64_t amount = 0;
-
-    void encode(wire::Encoder& enc) const;
-    static CashierRecord decode(wire::Decoder& dec);
-  };
-  /// kMigrateFreeze and kMigrateOut journal the MigrationSpec itself;
-  /// kMigrateIn journals the spec plus the imported accounts.
-  struct MigrateInRecord {
-    MigrationSpec spec;
-    std::vector<MigratedAccount> accounts;
-
-    void encode(wire::Encoder& enc) const;
-    static MigrateInRecord decode(wire::Decoder& dec);
-  };
-  /// kReplApply: a record replicated from `source`, journaled locally as
-  /// effect + watermark in one frame (see apply_replicated()).
-  struct ReplApplyRecord {
-    PrincipalName source;
-    std::uint64_t source_lsn = 0;
-    std::uint16_t inner_type = 0;
-    util::Bytes inner_payload;
-
-    void encode(wire::Encoder& enc) const;
-    static ReplApplyRecord decode(wire::Decoder& dec);
-  };
-  /// kIdentityAdopt: the named peer bank's checks settle here now.
-  struct IdentityAdoptRecord {
-    PrincipalName name;
-
-    void encode(wire::Encoder& enc) const;
-    static IdentityAdoptRecord decode(wire::Decoder& dec);
-  };
+  // The journal record payloads, one struct per JournalRecordType, are
+  // defined in accounting_server.cpp, the only file that builds, applies
+  // or replays them.
 
   /// Authenticates a request's identity proof against its challenge and
   /// request digest; returns the principal.
   [[nodiscard]] util::Result<PrincipalName> authenticate_(
       const core::PossessionProof& identity, std::uint64_t challenge_id,
       util::BytesView request_digest, util::TimePoint now);
+
+  /// The handlers' shared prelude (state_mutex_ held): `account` must
+  /// exist (kNotFound) and `who` must hold `right` on it
+  /// (kPermissionDenied).
+  [[nodiscard]] util::Result<Account*> authorized_account_(
+      const std::string& account, const PrincipalName& who,
+      const Operation& right);
 
   /// The type dispatch behind handle(); handle() wraps it with the
   /// storage-dead refusal and the group-commit barrier (under
@@ -659,19 +569,21 @@ class AccountingServer final : public net::Node {
   /// Takes state_mutex_ itself; must NOT be called with it held.
   [[nodiscard]] util::Status shard_gate_(const std::string& account) const;
 
-  /// Commits the thread's pending group-commit LSN (no-op otherwise).
-  /// Mirrors the barrier in handle() for the direct-call migration API;
-  /// call with state_mutex_ released.
+  /// Runs `body` under state_mutex_, then commits whatever it journaled
+  /// (the barrier handle() runs, for the direct-call migration,
+  /// replication and takeover APIs).
+  template <typename Body>
+  [[nodiscard]] util::Status journaled_call_(Body&& body);
+
+  /// Commits the thread's pending group-commit LSN (no-op otherwise);
+  /// marks the server storage-dead if the commit fails.  Call with
+  /// state_mutex_ released.
   [[nodiscard]] util::Status commit_pending_();
 
-  /// In-memory effect of a kMigrateIn record (state_mutex_ held).
-  void apply_migrate_in_(const MigrateInRecord& rec);
-  /// In-memory effect of a kMigrateOut record (state_mutex_ held).
-  void apply_migrate_out_(const MigrationSpec& spec);
-
-  /// Dedup lookup with state_mutex_ already held; nullptr on miss.
-  [[nodiscard]] const CompletedOp* find_completed_(const DedupTable& table,
-                                                   const DedupKey& key) const;
+  /// The stored reply of a completed op, counted as a dedup replay;
+  /// nullopt on a miss or with dedup off.  state_mutex_ must be held.
+  [[nodiscard]] std::optional<util::Bytes> replay_completed_(
+      const DedupTable& table, const DedupKey& key);
   /// Records a completed op, purging expired entries and enforcing the
   /// capacity backstop.  state_mutex_ must be held.
   void record_completed_(DedupTable& table, DedupKey key,
@@ -680,9 +592,10 @@ class AccountingServer final : public net::Node {
 
   /// Account lookup with state_mutex_ already held.
   [[nodiscard]] Account* find_account_(const std::string& local_name);
-  /// open_account with state_mutex_ already held.
-  void open_account_(const std::string& local_name,
-                     const PrincipalName& owner, Balances initial = {});
+  /// Opens (or replaces) an account and returns it; state_mutex_ held.
+  /// Only appliers (and the provisional credit) call this.
+  Account& open_account_(const std::string& local_name,
+                         const PrincipalName& owner, Balances initial = {});
 
   /// snapshot() with state_mutex_ already held (checkpoint() must seal
   /// and publish under one lock hold so no append slips in between).
@@ -690,7 +603,7 @@ class AccountingServer final : public net::Node {
       const crypto::SymmetricKey& key) const;
 
   /// Shared body of restore() / restore_replica(): `expected_server` is the
-  /// name the v5 snapshot must carry.
+  /// name the snapshot must carry.
   [[nodiscard]] util::Status restore_(const crypto::SymmetricKey& key,
                                       util::BytesView snapshot,
                                       const PrincipalName& expected_server);
@@ -703,39 +616,45 @@ class AccountingServer final : public net::Node {
   [[nodiscard]] util::Status replication_barrier_(
       const std::function<util::Status(std::uint64_t)>& barrier);
 
+  /// THE route to a ledger mutation (state_mutex_ held): runs `record`'s
+  /// applier and, if it succeeds, appends the record to the journal.  A
+  /// refused record changes nothing and is not journaled.  See
+  /// journal_append_() for what an append failure means.
+  template <typename Record>
+  [[nodiscard]] util::Status apply_and_journal_(const Record& record);
+
   /// Appends one typed record to the journal (state_mutex_ held).  No-op
   /// without storage; on failure marks the server storage-dead and
   /// returns the error — the caller turns it into an error reply and the
   /// mutation it covers is considered lost with the "process".
   template <typename Record>
-  [[nodiscard]] util::Status journal_append_(JournalRecordType type,
-                                             const Record& record);
+  [[nodiscard]] util::Status journal_append_(const Record& record);
 
-  /// Replay dispatch for recover(): decodes `record` and re-applies it.
-  /// Takes state_mutex_; the _locked_ variant is the dispatch body for
-  /// callers already holding it (apply_replicated, and the kReplApply
-  /// case which recurses once to apply its inner record).
-  [[nodiscard]] util::Status apply_record_(
-      const storage::JournalRecord& record);
+  /// The replay table (state_mutex_ held): decodes `record` by its type
+  /// and runs that type's applier.  recover() runs it over the journal
+  /// tail; the kReplApply applier runs it once for its inner record.
   [[nodiscard]] util::Status apply_record_locked_(
       const storage::JournalRecord& record, util::TimePoint now);
+  /// One replay-table entry: decode a `Record`, then apply it.
+  template <typename Record>
+  [[nodiscard]] util::Status replay_(const storage::JournalRecord& record,
+                                     util::TimePoint now);
 
   /// True when this server is the drawee of a check naming `server` —
   /// its own name, or one it adopted via identity takeover.  state_mutex_
   /// must be held.
   [[nodiscard]] bool is_local_drawee_locked_(
       const PrincipalName& server) const;
-  /// Per-type appliers (state_mutex_ held).  Settle/certify/foreign are
-  /// idempotent against their dedup entry so a record that survives in
-  /// both a snapshot and the journal tail applies once.
-  [[nodiscard]] util::Status apply_transfer_(const TransferRecord& rec);
-  [[nodiscard]] util::Status apply_certify_(const CertifyRecord& rec,
-                                            util::TimePoint now);
-  [[nodiscard]] util::Status apply_settle_(const SettleRecord& rec,
-                                           util::TimePoint now);
-  [[nodiscard]] util::Status apply_foreign_(const ForeignSettledRecord& rec,
-                                            util::TimePoint now);
-  [[nodiscard]] util::Status apply_cashier_(const CashierRecord& rec);
+
+  /// Per-type appliers (state_mutex_ held): the in-memory effect of one
+  /// record, shared by the live path and replay — one explicit
+  /// specialization per record type.  Each either applies in full or
+  /// refuses with the state untouched.  Settle/certify/foreign and
+  /// migrate-in are idempotent against their dedup entry / migration id,
+  /// so a record that survives in both a snapshot and the journal tail
+  /// applies once.
+  template <typename Record>
+  [[nodiscard]] util::Status apply_(const Record& rec, util::TimePoint now);
 
   Config config_;
   core::ProxyVerifier verifier_;
@@ -765,12 +684,12 @@ class AccountingServer final : public net::Node {
   /// Accounts in a frozen range answer kWrongShard until evacuation.
   std::map<std::uint64_t, MigrationSpec> frozen_;
   /// Migration ids already imported here (the exactly-once guard for
-  /// kMigrateIn).  Snapshotted (v5) like the dedup tables.
+  /// kMigrateIn).  Snapshotted like the dedup tables.
   std::set<std::uint64_t> applied_migrations_;
-  /// Peer bank names adopted via identity takeover (snapshotted, v6).
+  /// Peer bank names adopted via identity takeover (snapshotted).
   std::set<PrincipalName> adopted_identities_;
   /// Durable replication watermarks: source server -> highest source LSN
-  /// applied here (snapshotted, v6; advanced by kReplApply replay).
+  /// applied here (snapshotted; advanced by the kReplApply applier).
   std::map<PrincipalName, std::uint64_t> repl_watermarks_;
   /// Bootstraps performed via restore_replica() (process-local counter).
   std::atomic<std::uint64_t> replica_bootstraps_{0};

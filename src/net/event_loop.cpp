@@ -427,8 +427,9 @@ void EventLoopServer::scan_idle_(std::uint64_t now_us) {
     }
   }
   for (const int fd : victims) {
-    close_connection_(fd);
+    // Count before closing: a peer that sees the close may read the count.
     idle_closed_.fetch_add(1);
+    close_connection_(fd);
   }
 }
 

@@ -424,7 +424,10 @@ util::Status JournalWriter::commit(std::uint64_t lsn) {
     cs.error = synced;
   } else {
     cs.stats.fsyncs += 1;
-    const std::uint64_t covered = target - cs.durable_lsn;
+    // A sync() (the replication barrier's) may have moved durable_lsn past
+    // this leader's target during its fsync; it then covered nothing new.
+    const std::uint64_t covered =
+        target > cs.durable_lsn ? target - cs.durable_lsn : 0;
     cs.stats.committed += covered;
     cs.stats.max_group = std::max(cs.stats.max_group, covered);
     cs.durable_lsn = std::max(cs.durable_lsn, target);

@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <limits>
+#include <mutex>
+#include <optional>
+#include <thread>
+
 #include "testing/env.hpp"
 
 namespace rproxy {
@@ -91,6 +98,21 @@ TEST_F(AccountingServerTest, TransferInsufficientFunds) {
             util::ErrorCode::kInsufficientFunds);
 }
 
+TEST_F(AccountingServerTest, TransferBeyondTheBooksIsRefused) {
+  // Wire amounts are u64 and the books int64: 2^64 - 30 must not wrap
+  // into a negative debit that pulls 30 out of the payee's account.
+  bank2_->open_account("victim", "someone-else",
+                       accounting::Balances{{"usd", 50}});
+  auto client = world_.accounting_client("client");
+  EXPECT_FALSE(client
+                   .transfer("bank2", "client-account", "victim", "usd",
+                             std::numeric_limits<std::uint64_t>::max() - 29)
+                   .is_ok());
+  EXPECT_EQ(bank2_->account("client-account")->balances().balance("usd"),
+            100);
+  EXPECT_EQ(bank2_->account("victim")->balances().balance("usd"), 50);
+}
+
 TEST_F(AccountingServerTest, SameServerCheckClears) {
   // Payee also banks at bank2: single-server settlement, zero hops.
   bank2_->open_account("server-account", "app-server");
@@ -168,6 +190,131 @@ TEST_F(AccountingServerTest, DuplicateCheckNumberRejectedWithoutDedup) {
   EXPECT_EQ(plain_bank.account("client-account")->balances().balance("usd"),
             90);
   EXPECT_EQ(plain_bank.deduped_replies(), 0u);
+}
+
+/// Parks the thread that arrives until the test opens it; the test waits
+/// for the arrival first, so an interleaving is forced, not timed.
+class Gate {
+ public:
+  void arrive_and_wait() {
+    std::unique_lock lock(mutex_);
+    arrived_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return open_; });
+  }
+  void wait_arrived() {
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return arrived_; });
+  }
+  void open() {
+    std::lock_guard lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool arrived_ = false;
+  bool open_ = false;
+};
+
+/// The drawee, with the first check deposit it receives held at `gate`.
+class HoldingDrawee final : public net::Node {
+ public:
+  HoldingDrawee(net::Node& drawee, Gate& gate) : drawee_(drawee), gate_(gate) {}
+  net::Envelope handle(const net::Envelope& request) override {
+    if (request.type == net::MsgType::kCheckDeposit && !held_.exchange(true)) {
+      gate_.arrive_and_wait();
+    }
+    return drawee_.handle(request);
+  }
+
+ private:
+  net::Node& drawee_;
+  Gate& gate_;
+  std::atomic<bool> held_{false};
+};
+
+/// Owns every account, but parks the second shard-gate lookup of
+/// `account` at `gate`.
+class ParkSecondLookup final : public accounting::sharding::ShardView {
+ public:
+  ParkSecondLookup(std::string account, Gate& gate)
+      : account_(std::move(account)), gate_(gate) {}
+  bool owns(const PrincipalName& /*shard*/, std::string_view account,
+            std::uint64_t* /*version*/) const override {
+    if (account == account_ && lookups_.fetch_add(1) == 1) {
+      gate_.arrive_and_wait();
+    }
+    return true;
+  }
+
+ private:
+  std::string account_;
+  Gate& gate_;
+  mutable std::atomic<int> lookups_{0};
+};
+
+TEST(ExactlyOnceClearing, RetryRacingItsOriginalCollectionCreditsOnce) {
+  // A retried deposit misses the collecting bank's dedup table while its
+  // original is still collecting from the drawee, and reaches collection
+  // only after the original has settled.  The drawee replays "cleared"
+  // for the second collection, so the collector itself must notice.
+  World world;
+  for (const char* name : {"client", "app-server", "bank1", "bank2"}) {
+    world.add_principal(name);
+  }
+  Gate drawee_gate;
+  Gate shard_gate;
+  ParkSecondLookup view("server-account", shard_gate);
+  auto config = world.accounting_config("bank1");
+  config.shard = &view;
+  accounting::AccountingServer bank1(std::move(config));
+  accounting::AccountingServer bank2(world.accounting_config("bank2"));
+  HoldingDrawee drawee(bank2, drawee_gate);
+  world.net.attach("bank2", drawee);
+  bank2.open_account("client-account", "client",
+                     accounting::Balances{{"usd", 100}});
+  bank1.open_account("server-account", "app-server");
+  const Check check = accounting::write_check(
+      "client", world.principal("client").identity,
+      AccountId{"bank2", "client-account"}, "app-server", "usd", 50, 7,
+      world.clock.now(), util::kHour);
+
+  // Both deposits enter bank1 directly, each with a fresh challenge and
+  // proof, so they can overlap (SimNet runs one RPC at a time).
+  auto payee = world.accounting_client("app-server");
+  using Reply = util::Result<accounting::DepositReplyPayload>;
+  const auto deposit = [&]() -> Reply {
+    RPROXY_ASSIGN_OR_RETURN(
+        const auto challenge,
+        accounting::AccountingClient::read_challenge_reply(
+            bank1.handle(payee.challenge_request("bank1"))));
+    RPROXY_ASSIGN_OR_RETURN(
+        const net::Envelope request,
+        payee.deposit_request("bank1", check, "server-account", challenge));
+    return accounting::AccountingClient::read_deposit_reply(
+        bank1.handle(request));
+  };
+  std::optional<Reply> original;
+  std::optional<Reply> retry;
+  std::thread first([&] { original = deposit(); });
+  drawee_gate.wait_arrived();  // the original is collecting
+  std::thread second([&] { retry = deposit(); });
+  shard_gate.wait_arrived();  // the retry missed the dedup table
+  drawee_gate.open();
+  first.join();  // the original settled
+  shard_gate.open();
+  second.join();
+
+  ASSERT_TRUE(original->is_ok()) << original->status();
+  ASSERT_TRUE(retry->is_ok()) << retry->status();
+  EXPECT_TRUE(original->value().cleared);
+  EXPECT_TRUE(retry->value().cleared);
+  EXPECT_EQ(bank2.account("client-account")->balances().balance("usd"), 50);
+  EXPECT_EQ(bank1.account("server-account")->balances().balance("usd"), 50);
+  EXPECT_EQ(bank1.uncollected_total(), 0);
 }
 
 TEST_F(AccountingServerTest, InsufficientFundsCheckBounces) {

@@ -9,6 +9,7 @@
 #include "accounting/clearing.hpp"
 #include "accounting/replication/journal_shipper.hpp"
 #include "accounting/replication/standby.hpp"
+#include "storage/crash_point.hpp"
 #include "testing/env.hpp"
 #include "testing/tempdir.hpp"
 
@@ -352,6 +353,86 @@ TEST(Replication, StaleEpochShipIsFencedOff) {
   EXPECT_TRUE(progress.fenced);
   EXPECT_TRUE(rw.shipper->fenced());
   EXPECT_TRUE(rw.primary->fenced());
+}
+
+/// The primary's committed journal: [open a1, open a2, transfer a1->a2].
+std::vector<storage::JournalRecord> opened_and_transferred(ReplicaWorld& rw) {
+  rw.open("a1");
+  rw.open("a2");
+  auto client = rw.world.accounting_client("alice");
+  EXPECT_TRUE(client.transfer("bank", "a1", "a2", "usd", 150).is_ok());
+  auto tail = rw.primary->journal_read_committed(1, 16);
+  EXPECT_TRUE(tail.is_ok());
+  EXPECT_EQ(tail.value().records.size(), 3u);
+  return tail.value().records;
+}
+
+/// A kReplApply frame around `inner`, encoded by hand from the journal
+/// layout (source, source LSN, inner type, inner payload).
+storage::JournalRecord repl_wrapped(const storage::JournalRecord& inner,
+                                    std::uint64_t source_lsn) {
+  wire::Encoder enc;
+  enc.str("bank");
+  enc.u64(source_lsn);
+  enc.u16(inner.type);
+  enc.bytes(inner.payload);
+  return storage::JournalRecord{
+      inner.lsn,
+      static_cast<std::uint16_t>(accounting::JournalRecordType::kReplApply),
+      enc.take()};
+}
+
+TEST(Replication, NestedReplicatedRecordIsRefusedWithStateUntouched) {
+  ReplicaWorld rw;
+  const auto records = opened_and_transferred(rw);
+  AccountingServer replica(rw.world.accounting_config("bankb"));
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(replica.apply_replicated(records[i], "bank", i + 1).is_ok());
+  }
+
+  // One level of wrapping is a standby-of-a-standby and applies; a wrapper
+  // inside a wrapper is never written by a server, so it is hostile.
+  const storage::JournalRecord nested =
+      repl_wrapped(repl_wrapped(records[2], 3), 3);
+  EXPECT_EQ(replica.apply_replicated(nested, "bank", 3).code(),
+            ErrorCode::kParseError);
+  EXPECT_EQ(replica.account("a1")->balances().balance("usd"), kInitial);
+  EXPECT_EQ(replica.account("a2")->balances().balance("usd"), kInitial);
+  EXPECT_EQ(replica.replication_watermark("bank"), 2u);
+
+  ASSERT_TRUE(
+      replica.apply_replicated(repl_wrapped(records[2], 3), "bank", 3)
+          .is_ok());
+  EXPECT_EQ(replica.account("a1")->balances().balance("usd"), kInitial - 150);
+  EXPECT_EQ(replica.replication_watermark("bank"), 3u);
+}
+
+TEST(Replication, StorageDeadReplicaRefusesToApply) {
+  ReplicaWorld rw;
+  const auto records = opened_and_transferred(rw);
+  storage::CrashPoint crash;
+  auto config = rw.world.accounting_config("bankb");
+  config.storage_dir = rw.tmp.sub("bankb");
+  config.storage_key = rw.storage_key;
+  config.crash_point = &crash;
+  AccountingServer replica(std::move(config));
+  ASSERT_TRUE(replica.recover().is_ok());
+
+  // The replica's disk dies on its first local append.
+  storage::CrashPlan plan;
+  plan.min_appends = 1;
+  plan.max_appends = 1;
+  crash.arm(plan);
+  EXPECT_FALSE(replica.apply_replicated(records[0], "bank", 1).is_ok());
+  ASSERT_TRUE(replica.storage_dead());
+
+  // A replica that can no longer persist must not go on applying (and so
+  // advancing the watermark the shipper's barrier counts) in memory.
+  const std::uint64_t mark = replica.replication_watermark("bank");
+  EXPECT_EQ(replica.apply_replicated(records[1], "bank", 2).code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ(replica.account("a2"), nullptr);
+  EXPECT_EQ(replica.replication_watermark("bank"), mark);
 }
 
 }  // namespace

@@ -114,13 +114,19 @@ TEST_F(SnapshotTest, TruncatedSealedBlobRejected) {
 }
 
 TEST_F(SnapshotTest, UnknownVersionRejectedCleanly) {
-  wire::Encoder enc;
-  enc.str("accounting-snapshot-v9");
-  enc.str("bank");
-  const util::Status st =
-      bank_->restore(snapshot_key_, seal_as_snapshot(snapshot_key_,
-                                                     enc.view()));
-  EXPECT_EQ(st.code(), util::ErrorCode::kParseError);
+  // Only the v6 format the server writes restores; the retired v2–v5
+  // layouts are as unknown as a future one.
+  for (const char* version :
+       {"accounting-snapshot-v2", "accounting-snapshot-v5",
+        "accounting-snapshot-v9"}) {
+    wire::Encoder enc;
+    enc.str(version);
+    enc.str("bank");
+    const util::Status st =
+        bank_->restore(snapshot_key_, seal_as_snapshot(snapshot_key_,
+                                                       enc.view()));
+    EXPECT_EQ(st.code(), util::ErrorCode::kParseError) << version;
+  }
   EXPECT_EQ(bank_->account("client-acct")->balances().balance("usd"), 100);
 }
 
@@ -129,7 +135,7 @@ TEST_F(SnapshotTest, TruncatedPlaintextNeverHalfApplies) {
   // account count promising more data than exists.  The decoder must
   // latch, restore must fail, and NO account may have been replaced.
   wire::Encoder enc;
-  enc.str("accounting-snapshot-v3");
+  enc.str("accounting-snapshot-v6");
   enc.str("bank");
   enc.u32(7);  // seven accounts allegedly follow; none do
   const util::Status st =
@@ -144,7 +150,7 @@ TEST_F(SnapshotTest, GarbageHoldAmountsNeverHalfApply) {
   // One full account whose hold exceeds its balance — place_hold must
   // refuse, and the failure must not leave the decoded prefix applied.
   wire::Encoder enc;
-  enc.str("accounting-snapshot-v3");
+  enc.str("accounting-snapshot-v6");
   enc.str("bank");
   enc.u32(1);
   enc.str("client-acct");
@@ -159,34 +165,6 @@ TEST_F(SnapshotTest, GarbageHoldAmountsNeverHalfApply) {
   EXPECT_FALSE(st.is_ok());
   EXPECT_EQ(bank_->account("client-acct")->balances().balance("usd"), 100);
   EXPECT_EQ(bank_->account("client-acct")->held("usd"), 0);
-}
-
-TEST_F(SnapshotTest, V2SnapshotStillRestores) {
-  // Hand-built previous-generation snapshot (no routes section): upgrade
-  // compatibility — a server must come back from a pre-upgrade file.
-  wire::Encoder enc;
-  enc.str("accounting-snapshot-v2");
-  enc.str("bank");
-  enc.u32(1);
-  enc.str("client-acct");
-  enc.str("client");
-  accounting::Balances{{"usd", 62}}.encode(enc);
-  enc.u32(1);
-  enc.str("usd");
-  enc.i64(12);
-  enc.u32(0);  // no certified holds
-  enc.u32(0);  // no completed deposits
-  enc.u32(0);  // no completed certifies
-  ASSERT_TRUE(bank_
-                  ->restore(snapshot_key_,
-                            seal_as_snapshot(snapshot_key_, enc.view()))
-                  .is_ok());
-  EXPECT_EQ(bank_->account("client-acct")->balances().balance("usd"), 62);
-  EXPECT_EQ(bank_->account("client-acct")->held("usd"), 12);
-  EXPECT_EQ(bank_->account("client-acct")->available("usd"), 50);
-  // v2 predates route persistence: accounts it does not mention are gone
-  // (restore replaces), and the restore reports success.
-  EXPECT_EQ(bank_->account("merchant-acct"), nullptr);
 }
 
 TEST_F(SnapshotTest, TrailingGarbageRejected) {

@@ -363,6 +363,52 @@ TEST(GroupCommitTest, ConcurrentAppendCommitLoopsLoseNothing) {
             static_cast<std::size_t>(kThreads) * kPerThread);
 }
 
+TEST(GroupCommitTest, SyncRacingALeaderNeverWrapsTheGroupCounters) {
+  TempDir dir;
+  const std::string path = dir.sub("j.wal");
+  JournalWriter::Config config;
+  config.fsync_policy = FsyncPolicy::kGroup;
+  auto writer = JournalWriter::create(path, 1, config);
+  ASSERT_TRUE(writer.is_ok());
+
+  // The accounting server's shape under a replication barrier: group
+  // committers append under the caller lock and commit outside it, while
+  // barrier threads append and sync() under the lock.  A sync() that
+  // lands during a leader's fsync moves durable_lsn past the leader's
+  // target, so that barrier covers nothing new.
+  constexpr int kCommitters = 3;
+  constexpr int kSyncers = 2;
+  constexpr int kRounds = 3000;
+  std::mutex append_mutex;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kCommitters + kSyncers; ++t) {
+    const bool syncer = t >= kCommitters;
+    threads.emplace_back([&, syncer] {
+      for (int i = 0; i < kRounds; ++i) {
+        std::uint64_t lsn = 0;
+        {
+          std::lock_guard lock(append_mutex);
+          auto appended = writer.value().append(1, payload("x"));
+          ASSERT_TRUE(appended.is_ok());
+          lsn = appended.value();
+          if (syncer) {
+            ASSERT_TRUE(writer.value().sync().is_ok());
+            continue;
+          }
+        }
+        ASSERT_TRUE(writer.value().commit(lsn).is_ok());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const std::uint64_t appended =
+      static_cast<std::uint64_t>(kCommitters + kSyncers) * kRounds;
+  const JournalWriter::GroupStats stats = writer.value().group_stats();
+  EXPECT_LE(stats.max_group, appended);
+  EXPECT_LE(stats.committed, appended);
+}
+
 TEST(GroupCommitTest, FsyncFailureReachesEveryWaiterAndIsSticky) {
   TempDir dir;
   const std::string path = dir.sub("j.wal");

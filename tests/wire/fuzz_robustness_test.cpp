@@ -3,14 +3,20 @@
 // succeeding on garbage.  Also mutation-fuzzes valid encodings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "accounting/accounting_server.hpp"
 #include "authz/authorization_server.hpp"
 #include "baseline/dssa_roles.hpp"
 #include "baseline/sollins.hpp"
 #include "core/proxy_certificate.hpp"
+#include "crypto/aead.hpp"
 #include "crypto/random.hpp"
 #include "kdc/kdc_server.hpp"
 #include "server/end_server.hpp"
+#include "testing/env.hpp"
+#include "testing/tempdir.hpp"
 
 namespace rproxy {
 namespace {
@@ -116,6 +122,150 @@ TEST_P(FuzzTest, TruncatedEnvelopesHandledByServers) {
     ASSERT_TRUE(reply.is_ok());
     EXPECT_FALSE(net::status_of(reply.value()).is_ok());
   }
+}
+
+/// One valid journal record of every JournalRecordType, harvested from the
+/// journal of a storage-backed bank driven through its real APIs.
+std::vector<storage::JournalRecord> harvest_journal_records() {
+  testing::World world;
+  for (const char* name : {"client", "merchant", "bank", "drawee"}) {
+    world.add_principal(name);
+  }
+  testing::TempDir dir;
+  auto config = world.accounting_config("bank");
+  config.storage_dir = dir.sub("bank");
+  config.storage_key = crypto::SymmetricKey::generate();
+  config.fsync_policy = storage::FsyncPolicy::kEveryRecord;
+  accounting::AccountingServer bank(std::move(config));
+  EXPECT_TRUE(bank.recover().is_ok());
+  accounting::AccountingServer drawee(world.accounting_config("drawee"));
+  world.net.attach("bank", bank);
+  world.net.attach("drawee", drawee);
+  bank.open_account("client-acct", "client",
+                    accounting::Balances{{"usd", 1000}});
+  bank.open_account("merchant-acct", "merchant");
+  drawee.open_account("remote-acct", "client",
+                      accounting::Balances{{"usd", 1000}});
+  bank.set_route("far-bank", "drawee");
+
+  auto client = world.accounting_client("client");
+  auto merchant = world.accounting_client("merchant");
+  const auto check = [&](const PrincipalName& server,
+                         const std::string& account, std::uint64_t number) {
+    return accounting::write_check(
+        "client", world.principal("client").identity,
+        AccountId{server, account}, "merchant", "usd", 7, number,
+        world.clock.now(), util::kHour);
+  };
+  EXPECT_TRUE(client.transfer("bank", "client-acct", "merchant-acct", "usd", 5)
+                  .is_ok());
+  EXPECT_TRUE(client
+                  .certify("bank", "client-acct", "merchant", "usd", 20, 1,
+                           "merchant")
+                  .is_ok());
+  EXPECT_TRUE(merchant
+                  .endorse_and_deposit("bank", check("bank", "client-acct", 2),
+                                       "merchant-acct")
+                  .is_ok());
+  EXPECT_TRUE(
+      merchant
+          .endorse_and_deposit("bank", check("drawee", "remote-acct", 3),
+                               "merchant-acct")
+          .is_ok());
+  EXPECT_TRUE(client
+                  .buy_cashier_check("bank", "client-acct", "merchant", "usd",
+                                     4)
+                  .is_ok());
+  world.revocation.bump("someone");
+
+  const std::uint64_t nowhere =
+      accounting::sharding::stable_hash64("no-such-account");
+  const accounting::MigrationSpec out{1, nowhere, nowhere, "bank", "other"};
+  EXPECT_TRUE(bank.migration_freeze(out).is_ok());
+  EXPECT_TRUE(bank.migration_evacuate(out).is_ok());
+  const accounting::MigrationSpec in{2, nowhere, nowhere, "other", "bank"};
+  accounting::MigratedAccount moved;
+  moved.name = "imported-acct";
+  moved.owner = "client";
+  moved.balances = accounting::Balances{{"usd", 30}};
+  moved.holds.push_back({"client", 9, "usd", 10, world.clock.now()});
+  EXPECT_TRUE(bank.migration_import(in, {moved}).is_ok());
+  EXPECT_TRUE(bank.adopt_identity("old-bank").is_ok());
+
+  auto tail = bank.journal_read_committed(1, 1000);
+  EXPECT_TRUE(tail.is_ok());
+  std::vector<storage::JournalRecord> records = tail.value().records;
+  // A record as a standby journals it: the route record, replicated.
+  const auto route = std::find_if(
+      records.begin(), records.end(), [](const storage::JournalRecord& r) {
+        return r.type == static_cast<std::uint16_t>(
+                             accounting::JournalRecordType::kRouteSet);
+      });
+  EXPECT_TRUE(bank.apply_replicated(*route, "upstream", 1).is_ok());
+  tail = bank.journal_read_committed(records.back().lsn + 1, 1);
+  EXPECT_TRUE(tail.is_ok());
+  records.push_back(tail.value().records.at(0));
+  return records;
+}
+
+/// Every account's balances and holds (and the rest of the books), as the
+/// snapshot plaintext.
+util::Bytes books(const accounting::AccountingServer& server,
+                  const crypto::SymmetricKey& key) {
+  return crypto::aead_open(key.derive_subkey("accounting:snapshot"),
+                           server.snapshot(key))
+      .value();
+}
+
+TEST_P(FuzzTest, HostileJournalRecordsNeverCorruptTheBooks) {
+  // Journal records reach apply_replicated() from a peer over the wire and
+  // replay from disk: every type, as random bytes, truncated and
+  // bit-flipped, must be applied or refused — never crash — and a refused
+  // record must leave the books untouched.
+  DeterministicRng rng(GetParam());
+  const std::vector<storage::JournalRecord> valid = harvest_journal_records();
+  std::set<std::uint16_t> types;
+  for (const storage::JournalRecord& record : valid) types.insert(record.type);
+  ASSERT_EQ(types.size(), 13u) << "a JournalRecordType went unharvested";
+
+  testing::World world;
+  world.add_principal("replica");
+  core::RevocationRegistry registry;
+  auto config = world.accounting_config("replica");
+  config.revocation = &registry;
+  accounting::AccountingServer replica(std::move(config));
+  std::uint64_t lsn = 0;
+  for (const storage::JournalRecord& record : valid) {
+    ASSERT_TRUE(replica.apply_replicated(record, "primary", ++lsn).is_ok())
+        << "type " << record.type;
+  }
+
+  const crypto::SymmetricKey key = crypto::SymmetricKey::generate();
+  int refused = 0;
+  for (const storage::JournalRecord& record : valid) {
+    for (int round = 0; round < 60; ++round) {
+      storage::JournalRecord mutant{0, record.type, record.payload};
+      switch (round % 3) {
+        case 0:
+          mutant.payload = rng.next_bytes(rng.next_below(256));
+          break;
+        case 1:
+          mutant.payload.resize(rng.next_below(record.payload.size()));
+          break;
+        default:
+          mutant.payload[rng.next_below(mutant.payload.size())] ^=
+              static_cast<std::uint8_t>(1u << rng.next_below(8));
+          break;
+      }
+      const util::Bytes before = books(replica, key);
+      if (!replica.apply_replicated(mutant, "fuzzer", ++lsn).is_ok()) {
+        refused += 1;
+        EXPECT_EQ(books(replica, key), before)
+            << "refused type " << record.type << " changed the books";
+      }
+    }
+  }
+  EXPECT_GT(refused, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,
