@@ -600,8 +600,8 @@ util::Status AccountingServer::apply_(const CertifyRecord& rec,
   RPROXY_RETURN_IF_ERROR(check_amount(rec.amount));
   RPROXY_RETURN_IF_ERROR(
       acct->place_hold(rec.currency, static_cast<std::int64_t>(rec.amount)));
-  certified_[key] = CertifiedHold{rec.payor, rec.account, rec.currency,
-                                  rec.amount, rec.hold_until};
+  certified_.put(key, CertifiedHold{rec.payor, rec.account, rec.currency,
+                                    rec.amount, rec.hold_until});
   if (config_.enable_dedup) {
     record_completed_(completed_certifies_, key,
                       util::Bytes(rec.reply_payload), rec.hold_until, now);
@@ -729,9 +729,9 @@ util::Status AccountingServer::apply_(const MigrateInRecord& rec,
                .is_ok()) {
         continue;
       }
-      certified_[{hold.payor, hold.check_number}] =
-          CertifiedHold{hold.payor, migrated.name, hold.currency, hold.amount,
-                        hold.expires_at};
+      certified_.put({hold.payor, hold.check_number},
+                     CertifiedHold{hold.payor, migrated.name, hold.currency,
+                                   hold.amount, hold.expires_at});
     }
   }
   if (config_.enable_dedup) {
@@ -746,13 +746,8 @@ util::Status AccountingServer::apply_(const MigrateOutRecord& rec,
   for (auto it = accounts_.begin(); it != accounts_.end();) {
     const std::string& name = it->first;
     if (!is_infrastructure_account(name) && rec.spec.covers(name)) {
-      for (auto cert = certified_.begin(); cert != certified_.end();) {
-        if (cert->second.account == name) {
-          cert = certified_.erase(cert);
-        } else {
-          ++cert;
-        }
-      }
+      certified_.erase_if(
+          [&](const CertifiedHold& hold) { return hold.account == name; });
       it = accounts_.erase(it);
     } else {
       ++it;
@@ -1042,7 +1037,7 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
     }
     accounts.insert_or_assign(name, std::move(account));
   }
-  std::map<std::pair<PrincipalName, std::uint64_t>, CertifiedHold> certified;
+  ExpiringTable<CertifiedHold> certified;
   const std::uint32_t hold_count = dec.u32();
   for (std::uint32_t i = 0; i < hold_count && dec.ok(); ++i) {
     std::pair<PrincipalName, std::uint64_t> cert_key;
@@ -1054,7 +1049,7 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
     hold.currency = dec.str();
     hold.amount = dec.u64();
     hold.expires_at = dec.i64();
-    certified[cert_key] = hold;
+    certified.put(cert_key, std::move(hold));
   }
   const auto decode_dedup = [&dec]() {
     DedupTable table;
@@ -1066,7 +1061,7 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
       CompletedOp op;
       op.reply_payload = dec.bytes();
       op.expires_at = dec.i64();
-      table.insert_or_assign(std::move(key), std::move(op));
+      table.put(key, std::move(op));
     }
     return table;
   };
@@ -2133,24 +2128,17 @@ util::Result<DepositReplyPayload> AccountingServer::collect_foreign_(
 
 void AccountingServer::purge_expired_holds_(util::TimePoint now) {
   std::lock_guard lock(state_mutex_);
-  for (auto it = certified_.begin(); it != certified_.end();) {
-    if (it->second.expires_at < now) {
-      if (Account* acct = find_account_(it->second.account)) {
-        acct->release_hold(it->second.currency,
-                           static_cast<std::int64_t>(it->second.amount));
-      }
-      it = certified_.erase(it);
-    } else {
-      ++it;
+  certified_.purge(now, [&](const CertifiedHold& hold) {
+    if (Account* acct = find_account_(hold.account)) {
+      acct->release_hold(hold.currency,
+                         static_cast<std::int64_t>(hold.amount));
     }
-  }
+  });
   // Dedup entries die with their check — §7.7's "until the expiration
   // time on the check" applies to the replayed reply just as it does to
   // the remembered check number.
   for (DedupTable* table : {&completed_deposits_, &completed_certifies_}) {
-    for (auto it = table->begin(); it != table->end();) {
-      it = it->second.expires_at < now ? table->erase(it) : std::next(it);
-    }
+    table->purge(now, [](const CompletedOp&) {});
   }
 }
 
@@ -2168,21 +2156,12 @@ void AccountingServer::record_completed_(DedupTable& table, DedupKey key,
                                          util::TimePoint expires_at,
                                          util::TimePoint now) {
   if (table.size() >= config_.dedup_capacity) {
-    for (auto it = table.begin(); it != table.end();) {
-      it = it->second.expires_at < now ? table.erase(it) : std::next(it);
-    }
+    table.purge(now, [](const CompletedOp&) {});
     // Backstop when nothing has expired: evict the entry closest to
     // expiry (it is the one a retry is least likely to still need).
-    if (table.size() >= config_.dedup_capacity) {
-      auto victim = table.begin();
-      for (auto it = table.begin(); it != table.end(); ++it) {
-        if (it->second.expires_at < victim->second.expires_at) victim = it;
-      }
-      table.erase(victim);
-    }
+    if (table.size() >= config_.dedup_capacity) table.evict_earliest();
   }
-  table.insert_or_assign(std::move(key),
-                         CompletedOp{std::move(reply_payload), expires_at});
+  table.put(key, CompletedOp{std::move(reply_payload), expires_at});
 }
 
 }  // namespace rproxy::accounting

@@ -93,6 +93,16 @@ net::Envelope StandbyReplayer::handle_ship_(const net::Envelope& request) {
   epoch_ = std::max(epoch_, req.epoch);
   last_heard_ = config_.clock->now();
   primary_durable_ = std::max(primary_durable_, req.durable_lsn);
+  // A server that can no longer persist acks nothing, including the frame
+  // whose append killed its disk: the semi-sync barrier must stop counting
+  // this replica.  The shipper takes the refusal as no progress.
+  const auto storage_dead_reply = [&] {
+    return net::make_error_reply(
+        request, util::fail(ErrorCode::kUnavailable,
+                            "standby '" + config_.name +
+                                "' can no longer persist shipped frames"));
+  };
+  if (config_.server->storage_dead()) return storage_dead_reply();
   if (!needs_bootstrap_) {
     // A resubscribed standby's state may have diverged (it applied frames
     // its new primary never received): no frame is applied until the
@@ -106,6 +116,7 @@ net::Envelope StandbyReplayer::handle_ship_(const net::Envelope& request) {
       pending_.push_back(frame);
     }
     if (config_.apply_on_receive) apply_pending_locked_();
+    if (config_.server->storage_dead()) return storage_dead_reply();
   }
   ShipReply reply;
   reply.epoch = epoch_;

@@ -8,7 +8,10 @@
 // space.  Before promotion it serves read-only traffic (balance queries
 // plus the challenge round that authenticates them) from the replayed
 // state, refusing when it lags the primary's durable watermark by more
-// than the configured staleness bound.
+// than the configured staleness bound.  Once the wrapped server's storage
+// is dead, every ship is refused (kUnavailable) instead of acked, so the
+// primary's semi-sync barrier no longer counts a replica that cannot
+// persist.
 //
 // Takeover: when the primary has been silent past the heartbeat timeout
 // plus a per-standby deterministic jitter (jitter breaks promotion

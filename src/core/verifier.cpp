@@ -47,12 +47,31 @@ util::Result<VerifiedProxy> ProxyVerifier::verify_chain(
           cache_->lookup(key, now, config_.max_skew)) {
     return std::move(*hit);
   }
+  const std::uint64_t revocation_version = cache_->revocation_version();
   util::Result<VerifiedProxy> verified = verify_chain_uncached_(chain, now);
   // Only successful verifications are remembered: a rejection stays as
   // cheap or expensive as it was, and no attacker-chosen garbage occupies
   // cache slots.
-  if (verified.is_ok()) cache_->insert(key, chain, verified.value(), now);
+  if (verified.is_ok()) {
+    cache_->insert(key, chain, verified.value(), now, revocation_version);
+  }
   return verified;
+}
+
+util::Status ProxyVerifier::verify_identity_cert_(
+    const pki::IdentityCert& cert, util::TimePoint now) const {
+  if (!cache_) return pki::verify_identity_cert(cert, *config_.pk_root, now);
+  const crypto::Digest key = ChainVerifyCache::identity_key_of(cert);
+  // A hit skips only the name server's signature over these exact bytes;
+  // the validity window depends on `now` and runs on every presentation.
+  if (cache_->lookup_identity(key, now)) {
+    return pki::check_identity_cert_window(cert, now);
+  }
+  const std::uint64_t revocation_version = cache_->revocation_version();
+  RPROXY_RETURN_IF_ERROR(
+      pki::verify_identity_cert(cert, *config_.pk_root, now));
+  cache_->insert_identity(key, cert, now, revocation_version);
+  return util::Status::ok();
 }
 
 util::Result<VerifiedProxy> ProxyVerifier::verify_chain_uncached_(
@@ -388,10 +407,11 @@ util::Result<std::vector<PrincipalName>> ProxyVerifier::verify_possession(
       RPROXY_ASSIGN_OR_RETURN(
           pki::PkAuthProof pk_proof,
           wire::decode_from_bytes<pki::PkAuthProof>(proof.blob));
+      RPROXY_RETURN_IF_ERROR(verify_identity_cert_(pk_proof.cert, now));
       RPROXY_ASSIGN_OR_RETURN(
           PrincipalName who,
-          pki::verify_pk_auth(pk_proof, *config_.pk_root, transcript,
-                              config_.server_name, now, config_.max_skew));
+          pki::verify_pk_auth_proof(pk_proof, transcript, config_.server_name,
+                                    now, config_.max_skew));
       return std::vector<PrincipalName>{who};
     }
   }

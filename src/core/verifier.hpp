@@ -18,7 +18,8 @@ namespace rproxy::core {
 class ChainVerifyCache;
 class RevocationRegistry;
 
-/// Counters of the verified-chain cache (zeros when the cache is disabled).
+/// Counters of the verified-credential cache, chain and identity-certificate
+/// entries together (zeros when the cache is disabled).
 struct ChainCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -93,10 +94,13 @@ class ProxyVerifier {
     kdc::ReplayCache* replay_cache = nullptr;
     /// Freshness window for possession proofs and authenticators.
     util::Duration max_skew = 2 * util::kMinute;
-    /// Verified-chain cache: byte-identical chains skip signature, MAC and
-    /// ticket re-verification.  Time validity, possession proofs, replay
-    /// and accept-once checks, and restriction evaluation always re-run
-    /// per presentation.  0 disables the cache (A/B in tests and benches).
+    /// Verified-credential cache: byte-identical chains skip signature,
+    /// MAC and ticket re-verification, and a byte-identical pk identity
+    /// certificate skips the name server's signature check.  Time
+    /// validity, possession proofs, replay and accept-once checks, and
+    /// restriction evaluation always re-run per presentation.  Chains and
+    /// certificates share this many entries.  0 disables the cache (A/B in
+    /// tests and benches).
     std::size_t verify_cache_capacity = 1024;
     /// Bounded reuse window for cached verifications.  With a
     /// RevocationRegistry attached this is defence in depth only —
@@ -141,7 +145,7 @@ class ProxyVerifier {
 
   [[nodiscard]] const Config& config() const { return config_; }
 
-  /// Counters of the verified-chain cache; all-zero when disabled.
+  /// Counters of the verified-credential cache; all-zero when disabled.
   [[nodiscard]] ChainCacheStats cache_stats() const;
 
   /// Drops every cached verification.  A blunt instrument kept for tests
@@ -156,6 +160,10 @@ class ProxyVerifier {
       const ProxyChain& chain, util::TimePoint now) const;
   [[nodiscard]] util::Result<VerifiedProxy> verify_pk_chain_(
       const ProxyChain& chain, util::TimePoint now) const;
+  /// pki::verify_identity_cert under pk_root, with the signature check
+  /// remembered in the cache.
+  [[nodiscard]] util::Status verify_identity_cert_(
+      const pki::IdentityCert& cert, util::TimePoint now) const;
 
   Config config_;
   /// Internally synchronized; mutable because a cache probe does not change

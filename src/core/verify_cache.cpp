@@ -16,32 +16,28 @@ crypto::Digest ChainVerifyCache::key_of(const ProxyChain& chain) {
   return crypto::sha256(enc.view());
 }
 
-std::optional<VerifiedProxy> ChainVerifyCache::lookup(
-    const crypto::Digest& key, util::TimePoint now, util::Duration max_skew) {
-  std::lock_guard lock(mutex_);
+crypto::Digest ChainVerifyCache::identity_key_of(
+    const pki::IdentityCert& cert) {
+  wire::Encoder enc;
+  enc.str("identity-cert");
+  cert.encode(enc);
+  return crypto::sha256(enc.view());
+}
+
+ChainVerifyCache::Entry* ChainVerifyCache::find_live_(
+    const crypto::Digest& key, util::TimePoint now) {
   auto it = map_.find(key);
-  if (it == map_.end()) {
-    misses_ += 1;
-    return std::nullopt;
-  }
+  if (it == map_.end()) return nullptr;
   Entry& entry = it->second;
-  if (now > entry.value.expires_at || now >= entry.cached_until) {
-    // Past the chain's own expiry (full verification will reproduce the
-    // exact kExpired diagnosis) or past the reuse TTL (re-derive so a
+  if (now > entry.expires_at || now >= entry.cached_until) {
+    // Past the credential's own expiry (full verification will reproduce
+    // the exact kExpired diagnosis) or past the reuse TTL (re-derive so a
     // revoked grantor key stops being honoured).  Either way the entry is
     // dead for all future `now`s.
     lru_.erase(entry.lru);
     map_.erase(it);
     expired_drops_ += 1;
-    misses_ += 1;
-    return std::nullopt;
-  }
-  if (entry.value.mode == ProxyMode::kPublicKey &&
-      entry.max_issued_at > now + max_skew) {
-    // The uncached path rejects future-dated links; keep the entry (it
-    // becomes valid once the clock catches up) but do not serve it.
-    misses_ += 1;
-    return std::nullopt;
+    return nullptr;
   }
   if (revocation_ != nullptr) {
     // One atomic load in the common case: nothing anywhere has been
@@ -49,36 +45,115 @@ std::optional<VerifiedProxy> ChainVerifyCache::lookup(
     const std::uint64_t version = revocation_->version();
     if (version != entry.revocation_version) {
       if (!revocation_->epochs_current(entry.grantor_epochs)) {
-        // A grantor on THIS chain was revoked against: drop the entry and
-        // fall through to full verification, which re-derives ground
-        // truth.  Entries for untouched grantors keep their warmth.
+        // A principal THIS entry relied on was revoked against: drop the
+        // entry and fall through to full verification, which re-derives
+        // ground truth.  Entries for untouched grantors keep their warmth.
         lru_.erase(entry.lru);
         map_.erase(it);
         revocation_stale_drops_ += 1;
-        misses_ += 1;
-        return std::nullopt;
+        return nullptr;
       }
-      // Revocations elsewhere don't concern this chain; remember that so
+      // Revocations elsewhere don't concern this entry; remember that so
       // the next lookup is back to the single atomic load.
       entry.revocation_version = version;
     }
   }
+  return &entry;
+}
+
+void ChainVerifyCache::touch_(Entry& entry) {
   lru_.splice(lru_.begin(), lru_, entry.lru);
   hits_ += 1;
-  return entry.value;
+}
+
+std::optional<VerifiedProxy> ChainVerifyCache::lookup(
+    const crypto::Digest& key, util::TimePoint now, util::Duration max_skew) {
+  std::lock_guard lock(mutex_);
+  Entry* entry = find_live_(key, now);
+  // The uncached path rejects future-dated pk links: such an entry is not
+  // served, but stays, since it becomes valid once the clock catches up.
+  if (entry == nullptr || !entry->chain.has_value() ||
+      (entry->chain->mode == ProxyMode::kPublicKey &&
+       entry->max_issued_at > now + max_skew)) {
+    misses_ += 1;
+    return std::nullopt;
+  }
+  touch_(*entry);
+  return entry->chain;
+}
+
+bool ChainVerifyCache::lookup_identity(const crypto::Digest& key,
+                                       util::TimePoint now) {
+  std::lock_guard lock(mutex_);
+  Entry* entry = find_live_(key, now);
+  if (entry == nullptr || entry->chain.has_value()) {
+    misses_ += 1;
+    return false;
+  }
+  touch_(*entry);
+  return true;
+}
+
+std::uint64_t ChainVerifyCache::revocation_version() const {
+  return revocation_ != nullptr ? revocation_->version() : 0;
 }
 
 void ChainVerifyCache::insert(const crypto::Digest& key,
                               const ProxyChain& chain,
                               const VerifiedProxy& verified,
-                              util::TimePoint now) {
+                              util::TimePoint now, std::uint64_t verified_at) {
   if (capacity_ == 0) return;
   util::TimePoint max_issued_at = 0;
   for (const ProxyCertificate& cert : chain.certs) {
     max_issued_at = std::max(max_issued_at, cert.issued_at);
   }
+  // Every NAMED principal whose standing the verification relied on: the
+  // root grantor plus intermediate identities.  Anonymous bearer links
+  // have no name to track; revoking one goes through the root grantor's
+  // certificate list, which bumps the root's epoch.
+  std::vector<PrincipalName> grantors;
+  grantors.push_back(verified.grantor);
+  for (const PrincipalName& name : verified.audit_trail) {
+    if (name != verified.grantor) grantors.push_back(name);
+  }
 
   std::lock_guard lock(mutex_);
+  Entry* entry = put_(key, now, grantors, verified_at);
+  if (entry == nullptr) return;
+  entry->chain = verified;
+  entry->expires_at = verified.expires_at;
+  entry->max_issued_at = max_issued_at;
+}
+
+void ChainVerifyCache::insert_identity(const crypto::Digest& key,
+                                       const pki::IdentityCert& cert,
+                                       util::TimePoint now,
+                                       std::uint64_t verified_at) {
+  if (capacity_ == 0) return;
+  // The subject's epoch moves when the name server rebinds or drops its
+  // key, so that event sends the next presentation down the full path.
+  const std::vector<PrincipalName> grantors{cert.subject};
+
+  std::lock_guard lock(mutex_);
+  Entry* entry = put_(key, now, grantors, verified_at);
+  if (entry == nullptr) return;
+  entry->chain.reset();
+  entry->expires_at = cert.expires_at;
+  entry->max_issued_at = 0;
+}
+
+ChainVerifyCache::Entry* ChainVerifyCache::put_(
+    const crypto::Digest& key, util::TimePoint now,
+    const std::vector<PrincipalName>& grantors, std::uint64_t verified_at) {
+  std::vector<std::pair<PrincipalName, std::uint64_t>> epochs;
+  std::uint64_t version = 0;
+  if (revocation_ != nullptr) {
+    version = revocation_->snapshot_epochs(grantors, epochs);
+    // A revocation event landed during the caller's verification, which
+    // may have passed its link checks just before it: recording today's
+    // epochs would let the entry outlive that revocation.
+    if (version != verified_at) return nullptr;
+  }
   auto [it, inserted] = map_.try_emplace(key);
   if (inserted) {
     lru_.push_front(key);
@@ -86,27 +161,18 @@ void ChainVerifyCache::insert(const crypto::Digest& key,
   } else {
     lru_.splice(lru_.begin(), lru_, it->second.lru);
   }
-  it->second.value = verified;
-  it->second.max_issued_at = max_issued_at;
-  it->second.cached_until = now + ttl_;
-  if (revocation_ != nullptr) {
-    // Every NAMED principal whose standing the verification relied on: the
-    // root grantor plus intermediate identities.  Anonymous bearer links
-    // have no name to track; revoking one goes through the root grantor's
-    // certificate list, which bumps the root's epoch.
-    std::vector<PrincipalName> grantors;
-    grantors.push_back(verified.grantor);
-    for (const PrincipalName& name : verified.audit_trail) {
-      if (name != verified.grantor) grantors.push_back(name);
-    }
-    it->second.revocation_version =
-        revocation_->snapshot_epochs(grantors, it->second.grantor_epochs);
-  }
+  Entry& entry = it->second;
+  entry.cached_until = now + ttl_;
+  entry.grantor_epochs = std::move(epochs);
+  entry.revocation_version = version;
+  // The fresh entry sits at the LRU front, so with capacity >= 1 eviction
+  // never reaches it and `entry` stays valid.
   while (map_.size() > capacity_) {
     map_.erase(lru_.back());
     lru_.pop_back();
     evictions_ += 1;
   }
+  return &entry;
 }
 
 void ChainVerifyCache::clear() {

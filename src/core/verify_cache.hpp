@@ -1,32 +1,37 @@
-// Verified-chain cache: the check-once/reuse-many fast path.
+// Verified-credential cache: the check-once/reuse-many fast path.
 //
 // Chain verification is a pure function of the presented octets and the
 // verifier's long-term configuration: signatures, cascade MACs, ticket
 // decryption and the structural rules depend on nothing else.  Re-verifying
-// a byte-identical chain therefore re-derives a value already in hand.
+// a byte-identical chain therefore re-derives a value already in hand.  The
+// same holds for the name server's signature on a pk delegate's identity
+// certificate (§6.1), which the same cache remembers in its own entries.
 //
 // What the cache may elide is exactly that pure work, nothing else.  All
 // per-presentation checks stay OUTSIDE and run on every request: possession
-// proofs, challenge single-use, replay caches, accept-once identifiers, and
-// restriction evaluation against the live request.
+// proofs, challenge single-use, replay caches, accept-once identifiers,
+// restriction evaluation against the live request, and an identity
+// certificate's validity window.
 //
 // Entries stay honest about expiry and revocation:
-//  * a hit past the chain's own earliest expiry is dropped, and the caller
-//    falls through to full verification, which reports the same kExpired
-//    diagnosis the uncached path always gave;
+//  * a hit past the chain's own earliest expiry (the certificate's expiry,
+//    for an identity entry) is dropped, and the caller falls through to
+//    full verification, which reports the same kExpired diagnosis the
+//    uncached path always gave;
 //  * a bounded reuse TTL caps how long any outcome may be served even if
 //    no revocation signal ever arrives (defence in depth, not the primary
 //    revocation mechanism);
 //  * when a RevocationRegistry is attached, every entry records the
-//    revocation epoch of each grantor on its chain at insert time.  A
-//    lookup first compares the registry's process-wide version against the
-//    version recorded on the entry — one atomic load when nothing has been
-//    revoked anywhere since — and re-checks the per-grantor epochs when it
-//    differs.  A stale entry is dropped (counted in
-//    revocation_stale_drops) and the caller falls through to full
-//    verification, so a revocation takes effect on the very NEXT
-//    presentation, not the next TTL boundary; entries for untouched
-//    grantors stay warm.
+//    revocation epoch of each grantor on its chain (of the subject, for an
+//    identity certificate) at insert time.  A lookup first compares the
+//    registry's process-wide version against the version recorded on the
+//    entry — one atomic load when nothing has been revoked anywhere
+//    since — and re-checks the per-grantor epochs when it differs.  A
+//    stale entry is dropped (counted in revocation_stale_drops) and the
+//    caller falls through to full verification, so a revocation takes
+//    effect on the very NEXT presentation, not the next TTL boundary;
+//    entries for untouched grantors stay warm.  An outcome whose
+//    verification overlapped a revocation event is not stored at all.
 #pragma once
 
 #include <list>
@@ -62,9 +67,38 @@ class ChainVerifyCache {
                                                     util::TimePoint now,
                                                     util::Duration max_skew);
 
-  /// Remembers a successful verification of `chain`.
+  /// The attached registry's version (0 without one).  Read it before the
+  /// full verification whose outcome goes to insert() or insert_identity():
+  /// an outcome reached while a revocation event landed is not remembered,
+  /// since it may predate the event that the entry's epochs would record.
+  [[nodiscard]] std::uint64_t revocation_version() const;
+
+  /// Remembers a successful verification of `chain`, made after
+  /// revocation_version() returned `verified_at`.
   void insert(const crypto::Digest& key, const ProxyChain& chain,
-              const VerifiedProxy& verified, util::TimePoint now);
+              const VerifiedProxy& verified, util::TimePoint now,
+              std::uint64_t verified_at);
+
+  /// Identity-certificate key: SHA-256 over a tag, then the certificate's
+  /// wire encoding, signature included.  The tag's first octet is zero;
+  /// a verifiable chain's encoding starts with its mode (1 or 2), so the
+  /// two key spaces never meet.
+  [[nodiscard]] static crypto::Digest identity_key_of(
+      const pki::IdentityCert& cert);
+
+  /// True when this cache holds a live entry for the certificate keyed
+  /// `key`: its name-server signature verified under the owning verifier's
+  /// pk_root.  False (verify in full) for an unknown key, or an entry past
+  /// the certificate's expiry, the reuse TTL or its subject's revocation
+  /// epoch (dropped).  Says nothing about the validity window at `now`.
+  [[nodiscard]] bool lookup_identity(const crypto::Digest& key,
+                                     util::TimePoint now);
+
+  /// Remembers a successful verification of `cert`, made after
+  /// revocation_version() returned `verified_at`.
+  void insert_identity(const crypto::Digest& key,
+                       const pki::IdentityCert& cert, util::TimePoint now,
+                       std::uint64_t verified_at);
 
   void clear();
 
@@ -80,23 +114,43 @@ class ChainVerifyCache {
     }
   };
   struct Entry {
-    VerifiedProxy value;
+    /// The verified chain; nullopt in an identity-certificate entry, whose
+    /// presence alone records that the signature verified.
+    std::optional<VerifiedProxy> chain;
+    /// The chain's earliest expiry or the certificate's expires_at.  A
+    /// lookup past it drops the entry, so the caller's full verification
+    /// reports the uncached path's exact kExpired diagnosis.
+    util::TimePoint expires_at = 0;
     /// Latest issuance instant along the chain — re-checked against
     /// now + max_skew on every pk-mode hit, mirroring the uncached
     /// issued-in-the-future rejection.
     util::TimePoint max_issued_at = 0;
-    /// Insertion time + ttl; the chain's own expiry is checked separately
-    /// against VerifiedProxy::expires_at so the boundary matches the
-    /// uncached path exactly.
+    /// Insertion time + ttl.
     util::TimePoint cached_until = 0;
     /// Revocation epoch of every grantor on the chain (root grantor plus
-    /// named intermediates) as of insert time, and the registry version
-    /// current when they were last confirmed.  A lookup whose version
-    /// matches the registry skips the epoch walk entirely.
+    /// named intermediates), or of the certificate's subject, as of insert
+    /// time, and the registry version current when they were last
+    /// confirmed.  A lookup whose version matches the registry skips the
+    /// epoch walk entirely.
     std::vector<std::pair<PrincipalName, std::uint64_t>> grantor_epochs;
     std::uint64_t revocation_version = 0;
     std::list<crypto::Digest>::iterator lru;
   };
+
+  /// The entry under `key`, or nullptr when there is none or it was just
+  /// dropped for expiry, TTL or a revocation epoch.  Counts no hit or miss
+  /// and leaves the LRU order alone.  mutex_ must be held.
+  [[nodiscard]] Entry* find_live_(const crypto::Digest& key,
+                                  util::TimePoint now);
+  /// Moves `entry` to the LRU front and counts a hit.  mutex_ must be held.
+  void touch_(Entry& entry);
+  /// Inserts or refreshes the entry under `key` as most recently used,
+  /// records the epochs of `grantors`, and evicts beyond capacity; the
+  /// caller fills in the rest.  nullptr, and nothing stored, when the
+  /// registry moved past `verified_at`.  mutex_ must be held.
+  [[nodiscard]] Entry* put_(const crypto::Digest& key, util::TimePoint now,
+                            const std::vector<PrincipalName>& grantors,
+                            std::uint64_t verified_at);
 
   std::size_t capacity_;
   util::Duration ttl_;

@@ -58,6 +58,11 @@ util::Status verify_identity_cert(const IdentityCert& cert,
                                   util::TimePoint now) {
   RPROXY_RETURN_IF_ERROR(crypto::verify_status(
       issuer_key, cert.signed_bytes(), cert.signature, "identity cert"));
+  return check_identity_cert_window(cert, now);
+}
+
+util::Status check_identity_cert_window(const IdentityCert& cert,
+                                        util::TimePoint now) {
   if (now < cert.issued_at || now > cert.expires_at) {
     return util::fail(util::ErrorCode::kExpired,
                       "identity cert outside validity window");

@@ -36,9 +36,17 @@ struct IdentityCert {
     const PrincipalName& issuer, const crypto::SigningKeyPair& issuer_key,
     util::TimePoint now, util::Duration lifetime);
 
-/// Verifies signature, validity window and issuer binding.
+/// Verifies the issuer's signature over signed_bytes() (kBadSignature),
+/// then the validity window (check_identity_cert_window).
 [[nodiscard]] util::Status verify_identity_cert(
     const IdentityCert& cert, const crypto::VerifyKey& issuer_key,
     util::TimePoint now);
+
+/// issued_at <= now <= expires_at, with no skew allowance (kExpired).  The
+/// only part of verify_identity_cert that depends on `now`: a verifier
+/// that remembers a certificate's signature still runs this on every
+/// presentation.
+[[nodiscard]] util::Status check_identity_cert_window(
+    const IdentityCert& cert, util::TimePoint now);
 
 }  // namespace rproxy::pki

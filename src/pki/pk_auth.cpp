@@ -47,6 +47,14 @@ util::Result<PrincipalName> verify_pk_auth(
     util::TimePoint now, util::Duration max_skew) {
   RPROXY_RETURN_IF_ERROR(
       verify_identity_cert(proof.cert, name_server_root, now));
+  return verify_pk_auth_proof(proof, challenge, server, now, max_skew);
+}
+
+util::Result<PrincipalName> verify_pk_auth_proof(const PkAuthProof& proof,
+                                                 util::BytesView challenge,
+                                                 const PrincipalName& server,
+                                                 util::TimePoint now,
+                                                 util::Duration max_skew) {
   const util::Duration skew = proof.timestamp > now ? proof.timestamp - now
                                                     : now - proof.timestamp;
   if (skew > max_skew) {

@@ -29,10 +29,20 @@ struct PkAuthProof {
 
 /// Server-side check: certificate chains to `name_server_root`, signature
 /// covers this server's challenge, timestamp within `max_skew` of `now`.
-/// Returns the authenticated principal name.
+/// Returns the authenticated principal name.  verify_identity_cert
+/// followed by verify_pk_auth_proof.
 [[nodiscard]] util::Result<PrincipalName> verify_pk_auth(
     const PkAuthProof& proof, const crypto::VerifyKey& name_server_root,
     util::BytesView challenge, const PrincipalName& server,
     util::TimePoint now, util::Duration max_skew = 2 * util::kMinute);
+
+/// The per-presentation half of verify_pk_auth, for a caller that has
+/// already verified `proof.cert`: timestamp within `max_skew` of `now`,
+/// signature over this server's challenge under the certificate's key.
+/// Returns the certificate's subject.
+[[nodiscard]] util::Result<PrincipalName> verify_pk_auth_proof(
+    const PkAuthProof& proof, util::BytesView challenge,
+    const PrincipalName& server, util::TimePoint now,
+    util::Duration max_skew = 2 * util::kMinute);
 
 }  // namespace rproxy::pki

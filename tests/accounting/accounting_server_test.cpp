@@ -12,6 +12,7 @@
 #include <optional>
 #include <thread>
 
+#include "crypto/aead.hpp"
 #include "testing/env.hpp"
 
 namespace rproxy {
@@ -513,6 +514,94 @@ TEST_F(CertifiedCheckTest, ExpiredHoldReleased) {
   // Any request triggers the purge; query our own account.
   ASSERT_TRUE(client.query("bank2", "client-account").is_ok());
   EXPECT_EQ(bank2_->account("client-account")->available("usd"), 100);
+}
+
+TEST_F(CertifiedCheckTest, HoldAndDedupEntryLastThroughTheirExpiryInstant) {
+  // Exact instants: no simulated link latency moves the clock.
+  world_.net.set_default_latency(0);
+  auto client = world_.accounting_client("client");
+  const util::TimePoint until = world_.clock.now() + 10 * util::kMinute;
+  const auto certify = [&] {
+    return client.certify("bank2", "client-account", "app-server", "usd", 40,
+                          106, "app-server", until);
+  };
+  ASSERT_TRUE(certify().is_ok());
+
+  // At now == expires_at both survive: a retry replays the stored reply
+  // and the hold is still in place.
+  world_.clock.set(until);
+  ASSERT_TRUE(certify().is_ok());
+  EXPECT_EQ(bank2_->deduped_replies(), 1u);
+  EXPECT_EQ(bank2_->account("client-account")->held("usd"), 40);
+
+  // One tick later the purge takes both: the hold is released, and a
+  // retry certifies afresh instead of replaying.
+  world_.clock.set(until + 1);
+  ASSERT_TRUE(client.query("bank2", "client-account").is_ok());
+  EXPECT_EQ(bank2_->account("client-account")->held("usd"), 0);
+  ASSERT_TRUE(certify().is_ok());
+  EXPECT_EQ(bank2_->deduped_replies(), 1u);
+  EXPECT_EQ(bank2_->account("client-account")->held("usd"), 40);
+}
+
+TEST_F(CertifiedCheckTest, FullDedupTableEvictsTheEarliestExpiringEntry) {
+  auto config = world_.accounting_config("bank2");
+  config.dedup_capacity = 2;
+  accounting::AccountingServer bank(std::move(config));
+  world_.net.attach("bank2", bank);
+  bank.open_account("client-account", "client",
+                    accounting::Balances{{"usd", 100}});
+
+  auto client = world_.accounting_client("client");
+  const util::TimePoint now = world_.clock.now();
+  const auto certify = [&](std::uint64_t number, util::Duration hold) {
+    return client.certify("bank2", "client-account", "app-server", "usd", 10,
+                          number, "app-server", now + hold);
+  };
+  // Key order 1, 2, 3; expiry order 2, 3, 1.  The third record finds the
+  // table full with nothing expired and evicts #2.
+  ASSERT_TRUE(certify(1, 3 * util::kHour).is_ok());
+  ASSERT_TRUE(certify(2, 1 * util::kHour).is_ok());
+  ASSERT_TRUE(certify(3, 2 * util::kHour).is_ok());
+
+  ASSERT_TRUE(certify(1, 3 * util::kHour).is_ok());
+  ASSERT_TRUE(certify(3, 2 * util::kHour).is_ok());
+  EXPECT_EQ(bank.deduped_replies(), 2u);
+  // #2's hold is still outstanding, but its stored reply is gone.
+  EXPECT_EQ(certify(2, 1 * util::kHour).code(), util::ErrorCode::kReplay);
+  EXPECT_EQ(bank.account("client-account")->held("usd"), 30);
+}
+
+TEST_F(CertifiedCheckTest, RestoredServerPurgesTheSameEntries) {
+  auto client = world_.accounting_client("client");
+  const util::TimePoint now = world_.clock.now();
+  for (const std::uint64_t number : {107, 108, 109}) {
+    ASSERT_TRUE(client
+                    .certify("bank2", "client-account", "app-server", "usd",
+                             10, number, "app-server",
+                             now + static_cast<util::Duration>(number - 106) *
+                                       10 * util::kMinute)
+                    .is_ok());
+  }
+  const crypto::SymmetricKey key = crypto::SymmetricKey::generate();
+  const auto books = [&](const accounting::AccountingServer& server) {
+    return crypto::aead_open(key.derive_subkey("accounting:snapshot"),
+                             server.snapshot(key))
+        .value();
+  };
+  accounting::AccountingServer restored(world_.accounting_config("bank2"));
+  ASSERT_TRUE(restored.restore(key, bank2_->snapshot(key)).is_ok());
+  const util::Bytes before = books(*bank2_);
+  ASSERT_EQ(books(restored), before);
+
+  // #107 and #108 have expired; #109 has not.  Any request purges.
+  world_.clock.advance(25 * util::kMinute);
+  for (accounting::AccountingServer* server : {bank2_.get(), &restored}) {
+    (void)server->handle(client.challenge_request("bank2"));
+    EXPECT_EQ(server->account("client-account")->held("usd"), 10);
+  }
+  EXPECT_NE(books(*bank2_), before);
+  EXPECT_EQ(books(restored), books(*bank2_));
 }
 
 }  // namespace

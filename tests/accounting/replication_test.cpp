@@ -56,10 +56,14 @@ struct ReplicaWorld {
     world.net.attach("bank", *primary);
   }
 
+  /// `replica` defaults to a memory-only server.
   void make_standby(
-      const std::function<void(StandbyReplayer::Config&)>& tweak = {}) {
+      const std::function<void(StandbyReplayer::Config&)>& tweak = {},
+      std::unique_ptr<AccountingServer> replica = nullptr) {
     replica_server =
-        std::make_unique<AccountingServer>(world.accounting_config("bankb"));
+        replica ? std::move(replica)
+                : std::make_unique<AccountingServer>(
+                      world.accounting_config("bankb"));
     StandbyReplayer::Config rc;
     rc.name = "bankb";
     rc.primary = "bank";
@@ -433,6 +437,41 @@ TEST(Replication, StorageDeadReplicaRefusesToApply) {
             ErrorCode::kUnavailable);
   EXPECT_EQ(replica.account("a2"), nullptr);
   EXPECT_EQ(replica.replication_watermark("bank"), mark);
+}
+
+TEST(Replication, StorageDeadStandbyWithholdsItsAckFromTheBarrier) {
+  ReplicaWorld rw(/*with_barrier=*/true);
+  rw.open("a1");
+  rw.open("a2");
+  // The replica above, now behind a StandbyReplayer and the primary's
+  // semi-sync barrier.
+  storage::CrashPoint crash;
+  auto config = rw.world.accounting_config("bankb");
+  config.storage_dir = rw.tmp.sub("bankb");
+  config.storage_key = rw.storage_key;
+  config.crash_point = &crash;
+  auto replica = std::make_unique<AccountingServer>(std::move(config));
+  ASSERT_TRUE(replica->recover().is_ok());
+  rw.make_standby({}, std::move(replica));
+
+  // The replica's disk dies on its first local append: the first shipped
+  // frame.  Neither that frame nor any later one may be acked.
+  storage::CrashPlan plan;
+  plan.min_appends = 1;
+  plan.max_appends = 1;
+  crash.arm(plan);
+  auto client = rw.world.accounting_client("alice");
+  EXPECT_EQ(client.transfer("bank", "a1", "a2", "usd", 10).code(),
+            ErrorCode::kUnavailable);
+  ASSERT_TRUE(rw.replica_server->storage_dead());
+  EXPECT_GT(rw.primary->journal_durable_lsn(), 0u);
+  EXPECT_EQ(rw.shipper->acked_lsn("bankb"), 0u);
+
+  // Later ships, heartbeats included, are refused too.
+  const JournalShipper::Progress progress = rw.shipper->ship_once();
+  EXPECT_FALSE(progress.all_reachable);
+  EXPECT_EQ(progress.min_acked_lsn, 0u);
+  EXPECT_EQ(rw.shipper->acked_lsn("bankb"), 0u);
 }
 
 }  // namespace

@@ -372,13 +372,15 @@ TEST(ConcurrentDispatchLimits, MoreClientsThanWorkerSlots) {
   EXPECT_EQ(tcp.active_connections(), 0u);
 }
 
-// Verified-chain cache under concurrency: two file servers behind one
-// transport, identical except that one has the chain-verification cache
-// enabled and the other disabled.  Many threads hammer both with the same
-// mix — one chain shared by every thread (maximum cache contention), one
-// distinct chain per thread, and a tampered chain — and every decision
-// must agree between the two servers.  Under TSan this also proves the
-// cache's internal locking.
+// Verified-credential cache under concurrency: two file servers behind one
+// transport, identical except that one has the verification cache enabled
+// and the other disabled.  Many threads hammer both with the same mix —
+// one chain shared by every thread (maximum cache contention), one
+// distinct chain per thread, and a tampered chain — and also present pk
+// identity proofs straight to each server's verifier: a valid certificate,
+// a tampered one, and the valid one past its expiry.  Every decision must
+// agree between the two servers.  Under TSan this also proves the cache's
+// internal locking.
 TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
   World world;
   world.add_principal("alice");
@@ -420,6 +422,12 @@ TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
   for (int i = 0; i < kThreads; ++i) distinct.push_back(make_chain(2));
   core::ProxyChain tampered = shared.chain;
   tampered.certs[1].signature[3] ^= 0x40;
+  const crypto::SigningKeyPair alice_key = world.principal("alice").identity;
+  const pki::IdentityCert alice_cert = world.principal("alice").cert;
+  pki::IdentityCert tampered_cert = alice_cert;
+  tampered_cert.expires_at += util::kHour;
+  const util::TimePoint now = world.clock.now();
+  const util::TimePoint cert_expired = alice_cert.expires_at + 1;
 
   // Timestamp-mode presentation of `chain` proved with `signer`'s secret;
   // returns the reply's error code (kOk on acceptance).
@@ -440,6 +448,17 @@ TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
     auto reply = net::tcp_rpc("127.0.0.1", tcp.port(), e);
     if (!reply.is_ok()) return reply.status().code();
     return net::status_of(reply.value()).code();
+  };
+  // Delegate pk identity proof for `cert` made and checked at `at`;
+  // returns the verdict's error code (kOk on acceptance).
+  const auto identify = [&](const server::FileServer& fs,
+                            const pki::IdentityCert& cert,
+                            util::TimePoint at) {
+    const core::ProxyVerifier& verifier = fs.verifier();
+    const util::Bytes challenge = util::to_bytes("challenge");
+    const core::PossessionProof proof = core::prove_delegate_pk(
+        cert, alice_key, challenge, verifier.config().server_name, at, {});
+    return verifier.verify_identity(proof, challenge, {}, at).status().code();
   };
 
   std::atomic<int> disagreements{0};
@@ -470,6 +489,23 @@ TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
           if (ok != c.expect_ok) disagreements.fetch_add(1);
           (ok ? accepted_pairs : rejected_pairs).fetch_add(1);
         }
+        const struct {
+          const pki::IdentityCert* cert;
+          util::TimePoint at;
+          bool expect_ok;
+        } identities[] = {
+            {&alice_cert, now, true},
+            {&tampered_cert, now, false},
+            {&alice_cert, cert_expired, false},
+        };
+        for (const auto& c : identities) {
+          const util::ErrorCode with_cache = identify(cached, *c.cert, c.at);
+          const util::ErrorCode without = identify(plain, *c.cert, c.at);
+          if (with_cache != without) disagreements.fetch_add(1);
+          const bool ok = with_cache == util::ErrorCode::kOk;
+          if (ok != c.expect_ok) disagreements.fetch_add(1);
+          (ok ? accepted_pairs : rejected_pairs).fetch_add(1);
+        }
       }
     });
   }
@@ -477,8 +513,8 @@ TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
   tcp.stop();
 
   EXPECT_EQ(disagreements.load(), 0);
-  EXPECT_EQ(accepted_pairs.load(), kThreads * kRounds * 2);
-  EXPECT_EQ(rejected_pairs.load(), kThreads * kRounds);
+  EXPECT_EQ(accepted_pairs.load(), kThreads * kRounds * 3);
+  EXPECT_EQ(rejected_pairs.load(), kThreads * kRounds * 3);
   // The cached server actually took the fast path.
   EXPECT_GE(cached.verifier().cache_stats().hits, 1u);
   EXPECT_EQ(plain.verifier().cache_stats().hits, 0u);

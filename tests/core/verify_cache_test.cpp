@@ -296,6 +296,254 @@ TEST_F(VerifyCacheTest, CertRevocationKillsOneChainNotTheGrantor) {
   EXPECT_EQ(verifier.cache_stats().revocation_stale_drops, 2u);
 }
 
+/// Resolves through `inner`, and the first time it is asked for `trigger`
+/// revokes every grant `victim` made before `cutoff` — a revocation that
+/// lands in the middle of a full verification.
+class RevokingResolver final : public core::KeyResolver {
+ public:
+  RevokingResolver(const core::KeyResolver& inner,
+                   core::RevocationRegistry& registry, PrincipalName trigger,
+                   PrincipalName victim, util::TimePoint cutoff)
+      : inner_(inner),
+        registry_(registry),
+        trigger_(std::move(trigger)),
+        victim_(std::move(victim)),
+        cutoff_(cutoff) {}
+
+  util::Result<crypto::VerifyKey> resolve(
+      const PrincipalName& name) const override {
+    if (name == trigger_ && !fired_) {
+      fired_ = true;
+      registry_.revoke_grants_before(victim_, cutoff_);
+    }
+    return inner_.resolve(name);
+  }
+
+ private:
+  const core::KeyResolver& inner_;
+  core::RevocationRegistry& registry_;
+  PrincipalName trigger_;
+  PrincipalName victim_;
+  util::TimePoint cutoff_;
+  mutable bool fired_ = false;
+};
+
+TEST_F(VerifyCacheTest, RevocationDuringAMissIsNotBakedIntoTheEntry) {
+  // alice's proxy names bob, who extends it delegate-style: a full
+  // verification checks alice's link, then resolves bob's key.  Revoking
+  // alice right then lets this verification pass, but the outcome must not
+  // be remembered under alice's new epoch.
+  world_.add_principal("bob");
+  core::RestrictionSet set;
+  set.add(core::GranteeRestriction{{"bob"}, 1});
+  const core::Proxy root =
+      core::grant_pk_proxy("alice", world_.principal("alice").identity, set,
+                           world_.clock.now(), util::kHour);
+  const core::Proxy proxy =
+      core::extend_delegate(root, "bob", world_.principal("bob").identity, {},
+                            world_.clock.now(), util::kHour)
+          .value();
+  const RevokingResolver resolver(world_.resolver, world_.revocation, "bob",
+                                  "alice", world_.clock.now() + 1);
+  core::ProxyVerifier::Config vc =
+      make_verifier(1024, util::kHour, /*with_revocation=*/true).config();
+  vc.resolver = &resolver;
+  const core::ProxyVerifier verifier(std::move(vc));
+
+  ASSERT_TRUE(verifier.verify_chain(proxy.chain, world_.clock.now()).is_ok());
+  EXPECT_EQ(verifier.cache_stats().size, 0u);
+  EXPECT_EQ(verifier.verify_chain(proxy.chain, world_.clock.now()).code(),
+            util::ErrorCode::kRevoked);
+  EXPECT_EQ(verifier.cache_stats().hits, 0u);
+}
+
+// --- Identity certificates: the name server's signature is checked once ---
+//
+// A kDelegatePk proof carries the presenter's identity certificate.  A warm
+// verifier may skip only the name server's signature over those exact
+// bytes; the validity window, the proof's freshness and its signature run
+// on every presentation, so every verdict matches the uncached verifier's.
+
+class IdentityCertCacheTest : public VerifyCacheTest {
+ protected:
+  static constexpr std::size_t kCapacities[] = {1024, 0};
+
+  /// Ed25519 verifications this process has run so far.
+  static std::uint64_t ed25519_verifies() {
+    const crypto::KeyCacheStats stats = crypto::key_cache_stats();
+    return stats.verify_hits + stats.verify_misses;
+  }
+
+  /// Presents `cert` with a fresh proof by alice's identity key at `now`.
+  util::Result<std::vector<PrincipalName>> present(
+      const core::ProxyVerifier& verifier, const pki::IdentityCert& cert,
+      util::TimePoint now) {
+    const util::Bytes challenge = util::to_bytes("challenge");
+    const util::Bytes digest = util::to_bytes("request");
+    const core::PossessionProof proof = core::prove_delegate_pk(
+        cert, world_.principal("alice").identity, challenge, "file-server",
+        now, digest);
+    return verifier.verify_identity(proof, challenge, digest, now);
+  }
+
+  /// Outcome as one comparable string: "ok:<who>" or the full status.
+  std::string outcome(const core::ProxyVerifier& verifier,
+                      const pki::IdentityCert& cert, util::TimePoint now) {
+    auto who = present(verifier, cert, now);
+    return who.is_ok() ? "ok:" + who.value().at(0) : who.status().to_string();
+  }
+};
+
+TEST_F(IdentityCertCacheTest, WarmCertificateCostsOneVerifyNotTwo) {
+  const pki::IdentityCert& cert = world_.principal("alice").cert;
+  for (const std::size_t capacity : kCapacities) {
+    const core::ProxyVerifier verifier = make_verifier(capacity);
+    std::uint64_t before = ed25519_verifies();
+    ASSERT_TRUE(present(verifier, cert, world_.clock.now()).is_ok());
+    EXPECT_EQ(ed25519_verifies() - before, 2u) << "capacity=" << capacity;
+
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      before = ed25519_verifies();
+      auto who = present(verifier, cert, world_.clock.now());
+      ASSERT_TRUE(who.is_ok()) << who.status();
+      EXPECT_EQ(who.value(), std::vector<PrincipalName>{"alice"});
+      // Only the proof signature remains once the certificate is warm.
+      EXPECT_EQ(ed25519_verifies() - before, capacity > 0 ? 1u : 2u)
+          << "capacity=" << capacity;
+    }
+    EXPECT_EQ(verifier.cache_stats().hits, capacity > 0 ? 3u : 0u);
+    EXPECT_EQ(verifier.cache_stats().size, capacity > 0 ? 1u : 0u);
+  }
+}
+
+TEST_F(IdentityCertCacheTest, TamperedCertificateGetsTheUncachedError) {
+  world_.add_principal("mallory");
+  const pki::IdentityCert& good = world_.principal("alice").cert;
+  std::vector<pki::IdentityCert> tampered(4, good);
+  tampered[0].subject = "mallory";
+  tampered[1].public_key = world_.principal("mallory").identity.public_key();
+  tampered[2].expires_at += util::kHour;
+  tampered[3].signature[7] ^= 0x20;
+
+  const core::ProxyVerifier cached = make_verifier(1024);
+  const core::ProxyVerifier uncached = make_verifier(0);
+  ASSERT_TRUE(present(cached, good, world_.clock.now()).is_ok());
+  for (const pki::IdentityCert& cert : tampered) {
+    EXPECT_EQ(outcome(cached, cert, world_.clock.now()),
+              outcome(uncached, cert, world_.clock.now()));
+    EXPECT_EQ(present(cached, cert, world_.clock.now()).status().code(),
+              util::ErrorCode::kBadSignature);
+  }
+  // Every tampered certificate missed and none was remembered; the good
+  // one is still warm.
+  EXPECT_EQ(cached.cache_stats().hits, 0u);
+  EXPECT_EQ(cached.cache_stats().size, 1u);
+  ASSERT_TRUE(present(cached, good, world_.clock.now()).is_ok());
+  EXPECT_EQ(cached.cache_stats().hits, 1u);
+}
+
+TEST_F(IdentityCertCacheTest, ValidityWindowIsCheckedOnEveryHit) {
+  const pki::IdentityCert& cert = world_.principal("alice").cert;
+  // A TTL longer than the certificate's lifetime, so the warm entry itself
+  // is what meets both ends of the window.
+  const util::Duration ttl = 24 * util::kHour;
+  const core::ProxyVerifier cached = make_verifier(1024, ttl);
+  const core::ProxyVerifier uncached = make_verifier(0, ttl);
+  ASSERT_TRUE(present(cached, cert, cert.issued_at).is_ok());
+
+  const struct {
+    util::TimePoint at;
+    bool valid;
+  } cases[] = {
+      {cert.issued_at - 1, false},  // not yet valid
+      {cert.issued_at, true},
+      {cert.expires_at, true},
+      {cert.expires_at + 1, false},  // expired
+  };
+  for (const auto& c : cases) {
+    const std::string expected = outcome(uncached, cert, c.at);
+    EXPECT_EQ(outcome(cached, cert, c.at), expected) << "at=" << c.at;
+    if (c.valid) {
+      EXPECT_EQ(expected, "ok:alice") << "at=" << c.at;
+    } else {
+      EXPECT_EQ(present(cached, cert, c.at).status().code(),
+                util::ErrorCode::kExpired)
+          << "at=" << c.at;
+    }
+  }
+  // issued_at - 1 (twice), issued_at and expires_at were served warm; the
+  // first presentation past expires_at dropped the entry.
+  EXPECT_EQ(cached.cache_stats().hits, 4u);
+  EXPECT_EQ(cached.cache_stats().expired_drops, 1u);
+  EXPECT_EQ(cached.cache_stats().size, 0u);
+}
+
+TEST_F(IdentityCertCacheTest, CertificateUnderAnotherRootNeverHits) {
+  // A second name server binds alice's very key under its own root.
+  pki::NameServer rogue("rogue-name-server", world_.clock);
+  rogue.register_key("alice", world_.principal("alice").identity.public_key());
+  const pki::IdentityCert foreign = rogue.issue_cert("alice").value();
+  const pki::IdentityCert& home = world_.principal("alice").cert;
+
+  for (const std::size_t capacity : kCapacities) {
+    const core::ProxyVerifier verifier = make_verifier(capacity);
+    ASSERT_TRUE(present(verifier, home, world_.clock.now()).is_ok());
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(present(verifier, foreign, world_.clock.now()).status().code(),
+                util::ErrorCode::kBadSignature)
+          << "capacity=" << capacity;
+    }
+    EXPECT_EQ(verifier.cache_stats().hits, 0u);
+  }
+
+  // A verifier rooted at the rogue server accepts its certificate, but its
+  // cache is its own: the home verifier's warm entry cannot vouch for it,
+  // nor the other way round.
+  core::ProxyVerifier::Config rc = make_verifier(1024).config();
+  rc.pk_root = rogue.root_key();
+  const core::ProxyVerifier rogue_verifier(std::move(rc));
+  const core::ProxyVerifier home_verifier = make_verifier(1024);
+  ASSERT_TRUE(present(home_verifier, home, world_.clock.now()).is_ok());
+  ASSERT_TRUE(present(rogue_verifier, foreign, world_.clock.now()).is_ok());
+  EXPECT_EQ(present(rogue_verifier, home, world_.clock.now()).status().code(),
+            util::ErrorCode::kBadSignature);
+  EXPECT_EQ(present(home_verifier, foreign, world_.clock.now()).status().code(),
+            util::ErrorCode::kBadSignature);
+  EXPECT_EQ(home_verifier.cache_stats().hits, 0u);
+  EXPECT_EQ(rogue_verifier.cache_stats().hits, 0u);
+}
+
+TEST_F(IdentityCertCacheTest, KeyRotationAtTheNameServerDropsTheEntry) {
+  const pki::IdentityCert cert = world_.principal("alice").cert;
+  for (const std::size_t capacity : kCapacities) {
+    const core::ProxyVerifier verifier =
+        make_verifier(capacity, util::kHour, /*with_revocation=*/true);
+    const core::ProxyVerifier reference =
+        make_verifier(0, util::kHour, /*with_revocation=*/true);
+    ASSERT_TRUE(present(verifier, cert, world_.clock.now()).is_ok());
+
+    // Rebinding alice bumps her epoch.  The old certificate is not
+    // revocation-checked, so full verification still accepts it; the warm
+    // entry must not answer for it either way.
+    world_.name_server.register_key(
+        "alice", crypto::SigningKeyPair::generate().public_key());
+
+    std::uint64_t before = ed25519_verifies();
+    EXPECT_EQ(outcome(verifier, cert, world_.clock.now()),
+              outcome(reference, cert, world_.clock.now()));
+    // Both paths checked the name server's signature again.
+    EXPECT_EQ(ed25519_verifies() - before, 4u) << "capacity=" << capacity;
+    if (capacity > 0) {
+      EXPECT_EQ(verifier.cache_stats().revocation_stale_drops, 1u);
+      EXPECT_EQ(verifier.cache_stats().hits, 0u);
+      // Re-remembered under the current epoch: the next one is warm.
+      before = ed25519_verifies();
+      ASSERT_TRUE(present(verifier, cert, world_.clock.now()).is_ok());
+      EXPECT_EQ(ed25519_verifies() - before, 1u);
+    }
+  }
+}
+
 // --- End-server level: per-presentation checks still bite on cache hits ---
 
 class VerifyCacheEndServerTest : public ::testing::Test {

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "accounting/accounting_server.hpp"
+#include "accounting/replication/replication.hpp"
 #include "authz/authorization_server.hpp"
 #include "baseline/dssa_roles.hpp"
 #include "baseline/sollins.hpp"
@@ -56,6 +57,21 @@ TEST_P(FuzzTest, AllDecodersSurviveRandomBytes) {
   expect_no_crash_on_random<accounting::CertifyPayload>(rng, 50);
   expect_no_crash_on_random<baseline::SollinsPassport>(rng, 50);
   expect_no_crash_on_random<baseline::DssaRoleRecord>(rng, 50);
+  expect_no_crash_on_random<pki::IdentityCert>(rng, 50);
+  expect_no_crash_on_random<pki::PkAuthProof>(rng, 50);
+  expect_no_crash_on_random<accounting::replication::ShipRequest>(rng, 50);
+  expect_no_crash_on_random<accounting::replication::BootstrapRequest>(rng,
+                                                                       50);
+  expect_no_crash_on_random<accounting::sharding::ShardMap>(rng, 50);
+  expect_no_crash_on_random<accounting::MigrationSpec>(rng, 50);
+  expect_no_crash_on_random<core::RevocationRegistry::Event>(rng, 50);
+  // The revocation state a snapshot carries is merged, not decoded.
+  for (int i = 0; i < 50; ++i) {
+    core::RevocationRegistry registry;
+    const util::Bytes junk = rng.next_bytes(rng.next_below(512));
+    wire::Decoder dec(junk);
+    (void)registry.merge_state(dec);
+  }
 }
 
 TEST_P(FuzzTest, MutatedValidChainNeverVerifies) {
@@ -100,6 +116,52 @@ TEST_P(FuzzTest, MutatedValidChainNeverVerifies) {
       FAIL() << "mutation at some byte left the chain verifiable";
     }
   }
+}
+
+TEST_P(FuzzTest, MutatedIdentityProofNeverAuthenticatesOnAWarmVerifier) {
+  // The verifier remembers the name server's signature on a certificate it
+  // has checked, keyed by the certificate's bytes: no mutant of a proof
+  // whose certificate is warm may ride that memo to a success.
+  DeterministicRng rng(GetParam());
+  util::SimClock clock;
+  pki::NameServer name_server("name-server", clock);
+  const crypto::SigningKeyPair alice = crypto::SigningKeyPair::generate();
+  name_server.register_key("alice", alice.public_key());
+  const pki::IdentityCert cert = name_server.issue_cert("alice").value();
+
+  core::ProxyVerifier::Config vc;
+  vc.server_name = "bank";
+  vc.pk_root = name_server.root_key();
+  ASSERT_GT(vc.verify_cache_capacity, 0u);
+  const core::ProxyVerifier verifier(std::move(vc));
+
+  const util::Bytes challenge = util::to_bytes("challenge");
+  const util::Bytes digest = util::to_bytes("request");
+  const core::PossessionProof proof = core::prove_delegate_pk(
+      cert, alice, challenge, "bank", clock.now(), digest);
+  const auto authenticates = [&](const core::PossessionProof& presented) {
+    return verifier.verify_identity(presented, challenge, digest, clock.now())
+        .is_ok();
+  };
+  ASSERT_TRUE(authenticates(proof));
+  ASSERT_EQ(verifier.cache_stats().size, 1u);
+
+  int decoded = 0;
+  for (int i = 0; i < 200; ++i) {
+    core::PossessionProof mutant = proof;
+    mutant.blob[rng.next_below(mutant.blob.size())] ^=
+        static_cast<std::uint8_t>(1 + rng.next_below(255));
+    if (!wire::decode_from_bytes<pki::PkAuthProof>(mutant.blob).is_ok()) {
+      continue;  // structural damage: fine
+    }
+    decoded += 1;
+    EXPECT_FALSE(authenticates(mutant)) << "mutant " << i << " authenticated";
+  }
+  EXPECT_GT(decoded, 0);
+  // The original still passes, served from the memo.
+  const std::uint64_t hits = verifier.cache_stats().hits;
+  EXPECT_TRUE(authenticates(proof));
+  EXPECT_EQ(verifier.cache_stats().hits, hits + 1);
 }
 
 TEST_P(FuzzTest, TruncatedEnvelopesHandledByServers) {
