@@ -285,8 +285,8 @@ class AccountingServer final : public net::Node {
     const sharding::ShardView* shard = nullptr;
     /// Semi-synchronous replication barrier (DESIGN.md §5h): when set,
     /// handle() calls it after the group-commit barrier and before any
-    /// non-error reply leaves, passing the journal's durable watermark at
-    /// that moment.  The hook (replication::JournalShipper::barrier())
+    /// non-error reply leaves, passing the highest LSN appended so far
+    /// (made durable first).  The hook (replication::JournalShipper::barrier())
     /// returns OK once every standby has acknowledged that LSN; on
     /// failure the reply is withheld — an acked operation must never
     /// exist only on a primary that is about to be failed over.  The
@@ -674,10 +674,10 @@ class AccountingServer final : public net::Node {
                                       const PrincipalName& expected_server);
 
   /// Runs the loaded replication barrier for a reply that is about to
-  /// leave: forces the journal durable watermark up to everything appended
-  /// so far (required under kNever/kBatch, a no-op after the kGroup
-  /// barrier), then waits for standby acks of that watermark.  Call with
-  /// state_mutex_ released.
+  /// leave: makes everything appended so far durable (a sync under
+  /// kNever/kBatch; under kGroup a commit through the shared group
+  /// barrier, outside state_mutex_), then waits for standby acks of it.
+  /// Call with state_mutex_ released.
   [[nodiscard]] util::Status replication_barrier_(
       const std::function<util::Status(std::uint64_t)>& barrier);
 

@@ -16,11 +16,10 @@ JournalShipper::JournalShipper(Config config) : config_(std::move(config)) {
 
 JournalShipper::Progress JournalShipper::ship_once() {
   // Watermarks are snapshotted under the lock and the network round runs
-  // WITHOUT it: a semi-sync barrier caller arrives here already inside the
-  // net's dispatch lock, so holding ours across net::call would invert
-  // lock order against a background ship/heartbeat loop.  Two concurrent
-  // rounds at worst re-send frames the standby skips idempotently; acks
-  // only ever merge forward (max).
+  // WITHOUT it, so a ship_until() caller parked on mutex_ never waits out
+  // someone else's I/O.  Two concurrent rounds (a heartbeat racing a
+  // barrier round) at worst re-send frames the standby skips
+  // idempotently; acks only ever merge forward (max).
   Progress progress;
   std::map<PrincipalName, std::uint64_t> round;
   {
@@ -35,18 +34,13 @@ JournalShipper::Progress JournalShipper::ship_once() {
     ship_standby_(standby, acked, progress);
   }
 
-  bool first = true;
   {
     std::lock_guard lock(mutex_);
     for (const auto& [standby, acked] : round) {
       const auto it = acked_.find(standby);
       if (it != acked_.end()) it->second = std::max(it->second, acked);
     }
-    for (const auto& [standby, acked] : acked_) {
-      progress.min_acked_lsn =
-          first ? acked : std::min(progress.min_acked_lsn, acked);
-      first = false;
-    }
+    progress.min_acked_lsn = min_acked_locked_();
     if (progress.fenced) fenced_.store(true);
   }
   if (progress.fenced && config_.fence_primary) config_.primary->fence();
@@ -134,15 +128,30 @@ void JournalShipper::ship_standby_(const PrincipalName& standby,
 }
 
 util::Status JournalShipper::ship_until(std::uint64_t lsn) {
-  {
-    std::lock_guard lock(mutex_);
-    if (acked_.empty()) return util::Status::ok();
-  }
-  for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
+  // Leader/follower, in the shape of JournalWriter::commit's kGroup
+  // barrier: one round in flight serves every caller.  A caller that finds
+  // no round running leads one (mutex_ released across its I/O); the rest
+  // park until it ends and check again.  Each round a caller sees end
+  // short of its LSN — led or parked on — counts against max_attempts.
+  std::unique_lock lock(mutex_);
+  for (int rounds = 0;; ++rounds) {
     if (fenced_.load()) break;
-    const Progress progress = ship_once();
-    if (progress.fenced) break;
-    if (progress.min_acked_lsn >= lsn) return util::Status::ok();
+    if (acked_.empty() || min_acked_locked_() >= lsn) {
+      return util::Status::ok();
+    }
+    if (rounds == config_.max_attempts) break;
+    if (round_in_flight_) {
+      const std::uint64_t seen = rounds_done_;
+      round_done_.wait(lock, [&] { return rounds_done_ != seen; });
+      continue;
+    }
+    round_in_flight_ = true;
+    lock.unlock();
+    (void)ship_once();
+    lock.lock();
+    round_in_flight_ = false;
+    rounds_done_ += 1;
+    round_done_.notify_all();
   }
   if (fenced_.load()) {
     return util::fail(ErrorCode::kFenced,
@@ -165,6 +174,10 @@ std::uint64_t JournalShipper::acked_lsn(const PrincipalName& standby) const {
 
 std::uint64_t JournalShipper::min_acked_lsn() const {
   std::lock_guard lock(mutex_);
+  return min_acked_locked_();
+}
+
+std::uint64_t JournalShipper::min_acked_locked_() const {
   std::uint64_t min = 0;
   bool first = true;
   for (const auto& [standby, acked] : acked_) {

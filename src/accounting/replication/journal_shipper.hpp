@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -59,14 +60,16 @@ class JournalShipper {
 
   explicit JournalShipper(Config config);
 
-  /// Ships one batch to every standby (an empty batch doubles as the
-  /// heartbeat) and returns the round's progress.  Thread-safe, and safe
-  /// to race with barrier() callers: the mutex is never held across
-  /// network I/O, acks merge monotonically.
+  /// Ships one batch to every standby (an empty batch is the heartbeat;
+  /// FailoverCoordinator::tick() is its source) and returns the round's
+  /// progress.  Thread-safe, and safe to race with barrier() callers: the
+  /// mutex is never held across network I/O, acks merge monotonically.
   Progress ship_once();
 
-  /// Ships until every standby has acknowledged `lsn` (bounded by
-  /// Config::max_attempts rounds).  OK immediately with no standbys.
+  /// Returns once every standby has acknowledged `lsn`: at once when they
+  /// already have (or there are none), otherwise after ship rounds bounded
+  /// by Config::max_attempts.  Concurrent callers share one ship_once()
+  /// round in flight.
   /// kFenced once a standby promotion is detected; kUnavailable when a
   /// standby stays unreachable or lagging.
   [[nodiscard]] util::Status ship_until(std::uint64_t lsn);
@@ -91,8 +94,7 @@ class JournalShipper {
   /// One standby's slice of a round: bootstrap if compacted past (or the
   /// standby asked for one — a resubscribed promotion-race loser), then
   /// ship the next batch.  Updates `acked`; flags fall into `progress`.
-  /// Called WITHOUT mutex_ held (it performs network I/O — see
-  /// ship_once() for the lock-order constraint).
+  /// Called WITHOUT mutex_ held (it performs network I/O).
   void ship_standby_(const PrincipalName& standby, std::uint64_t& acked,
                      Progress& progress);
   /// Sends the newest sealed snapshot to `standby` and advances `acked`
@@ -101,9 +103,16 @@ class JournalShipper {
   void bootstrap_standby_(const PrincipalName& standby, std::uint64_t& acked,
                           Progress& progress);
 
+  [[nodiscard]] std::uint64_t min_acked_locked_() const;
+
   Config config_;
   mutable std::mutex mutex_;
   std::map<PrincipalName, std::uint64_t> acked_;
+  /// ship_until()'s shared round (guarded by mutex_): set while one caller
+  /// ships; the others wait on round_done_ for rounds_done_ to move.
+  bool round_in_flight_ = false;
+  std::uint64_t rounds_done_ = 0;
+  std::condition_variable round_done_;
   std::atomic<bool> fenced_{false};
   /// The promoted standby's epoch, learned from its kFenced answer.
   std::atomic<std::uint64_t> fencing_epoch_{0};

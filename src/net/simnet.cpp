@@ -12,6 +12,21 @@ void SimNet::detach(const NodeId& id) {
   nodes_.erase(id);
 }
 
+void SimNet::add_tap(Tap& tap) {
+  std::lock_guard lock(mutex_);
+  taps_.push_back(&tap);
+}
+
+void SimNet::clear_taps() {
+  std::lock_guard lock(mutex_);
+  taps_.clear();
+}
+
+void SimNet::set_default_latency(util::Duration oneway) {
+  std::lock_guard lock(mutex_);
+  default_latency_ = oneway;
+}
+
 util::Duration SimNet::latency_(const NodeId& a, const NodeId& b) const {
   auto key = a < b ? std::make_pair(a, b) : std::make_pair(b, a);
   if (auto it = link_latency_.find(key); it != link_latency_.end()) {
@@ -65,6 +80,16 @@ bool SimNet::fault_plan_active() const {
   return injector_ != nullptr;
 }
 
+NetStats SimNet::stats() const {
+  std::lock_guard lock(mutex_);
+  return stats_;
+}
+
+void SimNet::reset_stats() {
+  std::lock_guard lock(mutex_);
+  stats_.reset();
+}
+
 void SimNet::open_unreachable_window(const NodeId& a, const NodeId& b,
                                      util::Duration duration) {
   std::lock_guard lock(mutex_);
@@ -75,9 +100,12 @@ void SimNet::open_unreachable_window(const NodeId& a, const NodeId& b,
 }
 
 util::Result<Envelope> SimNet::rpc(Envelope request) {
-  // One round trip is atomic with respect to other threads; nested rpc()
-  // from the invoked handler re-enters on the same thread.
-  std::lock_guard lock(mutex_);
+  // The lock covers the net's own state only and is released across every
+  // handle(): round trips from different threads run their handlers in
+  // parallel, and a handler's nested rpc() takes the lock afresh.  The
+  // dice are rolled at the same points as ever, so a single-threaded run
+  // replays its seed.
+  std::unique_lock lock(mutex_);
   const NodeId from = request.from;
   const NodeId to = request.to;
   if (failed_links_.contains(from < to ? std::make_pair(from, to)
@@ -125,7 +153,10 @@ util::Result<Envelope> SimNet::rpc(Envelope request) {
                       "no node attached as '" + delivered.to + "'");
   }
   stats_.rpcs += 1;
-  Envelope reply = it->second->handle(delivered);
+  Node* node = it->second;
+  lock.unlock();
+  Envelope reply = node->handle(delivered);
+  lock.lock();
 
   if (fault.duplicate) {
     // A network duplicate: the handler runs again on a verbatim copy; the
@@ -134,7 +165,10 @@ util::Result<Envelope> SimNet::rpc(Envelope request) {
     stats_.faults_duplicated += 1;
     const Envelope dup = deliver_(Envelope(delivered));
     if (auto dup_it = nodes_.find(dup.to); dup_it != nodes_.end()) {
-      (void)dup_it->second->handle(dup);
+      Node* dup_node = dup_it->second;
+      lock.unlock();
+      (void)dup_node->handle(dup);
+      lock.lock();
     }
   }
 

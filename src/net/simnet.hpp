@@ -5,7 +5,9 @@
 // synchronously, charging simulated latency on a shared SimClock and
 // counting messages and bytes.  Handlers may themselves issue rpc() calls
 // (an end-server contacting its accounting server, an intermediate server
-// cascading a proxy), which nests naturally.
+// cascading a proxy), which nests naturally.  Handlers run outside the
+// net's lock, so round trips made from different threads run
+// concurrently; every Node must be thread-safe.
 #pragma once
 
 #include <map>
@@ -68,11 +70,15 @@ class SimNet {
   SimNet(const SimNet&) = delete;
   SimNet& operator=(const SimNet&) = delete;
 
-  /// Registers a node.  The node must outlive the net.  Re-registering a
-  /// name replaces the previous binding (used to restart servers in tests).
+  /// Registers a node.  The node must outlive the net: a handler call may
+  /// still be running on it after it is replaced or detached.
+  /// Re-registering a name replaces the previous binding (used to restart
+  /// servers in tests).
   void attach(NodeId id, Node& node);
 
-  /// Removes a node (simulates a crashed/unreachable party).
+  /// Removes a node (simulates a crashed/unreachable party).  Later rpc()
+  /// calls fail kNotFound, but a handler already running on the node may
+  /// finish after detach() returns.
   void detach(const NodeId& id);
 
   /// One round trip: delivers `request` to its destination, returns the
@@ -93,13 +99,13 @@ class SimNet {
   }
 
   /// Installs an adversary tap; taps see all traffic in installation order.
-  void add_tap(Tap& tap) { taps_.push_back(&tap); }
-  void clear_taps() { taps_.clear(); }
+  void add_tap(Tap& tap);
+  void clear_taps();
 
   /// One-way link delay between any two nodes (default 500us ~ a 1993 LAN
   /// round trip of 1ms).  Per-pair overrides model WAN links to remote
   /// accounting servers etc.
-  void set_default_latency(util::Duration oneway) { default_latency_ = oneway; }
+  void set_default_latency(util::Duration oneway);
   void set_link_latency(const NodeId& a, const NodeId& b,
                         util::Duration oneway);
 
@@ -127,26 +133,23 @@ class SimNet {
   void open_unreachable_window(const NodeId& a, const NodeId& b,
                                util::Duration duration);
 
-  [[nodiscard]] const NetStats& stats() const { return stats_; }
-  void reset_stats() {
-    std::lock_guard lock(mutex_);
-    stats_.reset();
-  }
+  /// A consistent copy of the counters (rpc() updates them from any
+  /// thread).
+  [[nodiscard]] NetStats stats() const;
+  void reset_stats();
 
   [[nodiscard]] util::SimClock& clock() { return clock_; }
 
  private:
   [[nodiscard]] util::Duration latency_(const NodeId& a,
                                         const NodeId& b) const;
-  /// Runs taps and counters for one envelope hop.
+  /// Runs taps and counters for one envelope hop (mutex_ held).
   Envelope deliver_(Envelope e);
 
-  /// Serializes rpc() rounds across threads (concurrently dispatched TCP
-  /// handlers reach peer nodes through the SimNet): stats, taps, links and
-  /// node table all mutate under it.  Recursive because handlers nest
-  /// rpc() calls on the same thread (an accounting server collecting from
-  /// a peer mid-deposit).
-  mutable std::recursive_mutex mutex_;
+  /// Guards the net's own state: node table, taps, links, latencies, the
+  /// fault injector and stats.  Never held across Node::handle(), so
+  /// nothing re-enters it.
+  mutable std::mutex mutex_;
   util::SimClock& clock_;
   std::map<NodeId, Node*> nodes_;
   std::vector<Tap*> taps_;

@@ -424,8 +424,8 @@ util::Status JournalWriter::commit(std::uint64_t lsn) {
     cs.error = synced;
   } else {
     cs.stats.fsyncs += 1;
-    // A sync() (the replication barrier's) may have moved durable_lsn past
-    // this leader's target during its fsync; it then covered nothing new.
+    // A concurrent sync() may have moved durable_lsn past this leader's
+    // target during its fsync; it then covered nothing new.
     const std::uint64_t covered =
         target > cs.durable_lsn ? target - cs.durable_lsn : 0;
     cs.stats.committed += covered;

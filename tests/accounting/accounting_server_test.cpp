@@ -284,7 +284,7 @@ TEST(ExactlyOnceClearing, RetryRacingItsOriginalCollectionCreditsOnce) {
       world.clock.now(), util::kHour);
 
   // Both deposits enter bank1 directly, each with a fresh challenge and
-  // proof, so they can overlap (SimNet runs one RPC at a time).
+  // proof, on threads of their own; the gates force the overlap.
   auto payee = world.accounting_client("app-server");
   using Reply = util::Result<accounting::DepositReplyPayload>;
   const auto deposit = [&]() -> Reply {

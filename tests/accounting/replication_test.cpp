@@ -3,8 +3,12 @@
 // fencing, read-replica staleness, and the promotion ordering guarantee.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "accounting/clearing.hpp"
 #include "accounting/replication/journal_shipper.hpp"
@@ -25,9 +29,10 @@ using util::ErrorCode;
 
 constexpr std::int64_t kInitial = 1000;
 
-/// A primary with durable storage, one standby replaying into a
-/// memory-only replica server, and the shipper wired into the primary's
-/// semi-sync barrier (a no-op until make_standby() creates the shipper).
+/// A primary with durable storage (kEveryRecord unless `tweak` says
+/// otherwise), one standby replaying into a memory-only replica server,
+/// and the shipper wired into the primary's semi-sync barrier (a no-op
+/// until make_standby() creates the shipper).
 struct ReplicaWorld {
   World world;
   rproxy::testing::TempDir tmp;
@@ -38,7 +43,10 @@ struct ReplicaWorld {
   std::unique_ptr<JournalShipper> shipper;
   bool semi_sync = false;
 
-  explicit ReplicaWorld(bool with_barrier = false) : semi_sync(with_barrier) {
+  explicit ReplicaWorld(
+      bool with_barrier = false,
+      const std::function<void(AccountingServer::Config&)>& tweak = {})
+      : semi_sync(with_barrier) {
     world.add_principal("bank");
     world.add_principal("bankb");
     world.add_principal("alice");
@@ -46,6 +54,7 @@ struct ReplicaWorld {
     config.storage_dir = tmp.sub("bank");
     config.storage_key = storage_key;
     config.fsync_policy = storage::FsyncPolicy::kEveryRecord;
+    if (tweak) tweak(config);
     if (semi_sync) {
       config.replication_barrier = [this](std::uint64_t lsn) {
         return shipper ? shipper->ship_until(lsn) : util::Status::ok();
@@ -202,6 +211,39 @@ TEST(Replication, PromotionFencesTheOldPrimary) {
   auto reply = client.query("bankb", "a1");
   ASSERT_TRUE(reply.is_ok()) << reply.status();
   EXPECT_EQ(reply.value().balances.balance("usd"), kInitial - 40);
+}
+
+TEST(Replication, DeposedPrimaryAnswersReadsOfAckedStateUntilFenced) {
+  ReplicaWorld rw(/*with_barrier=*/true);
+  rw.open("a1");
+  rw.open("a2");
+  rw.make_standby();
+  auto client = rw.world.accounting_client("alice");
+  ASSERT_TRUE(client.transfer("bank", "a1", "a2", "usd", 10).is_ok());
+
+  // Cut off with nothing left to ship: a reply whose records every standby
+  // already acked is released; no round could add to what they hold.
+  rw.world.net.fail_link("bank", "bankb");
+  auto answered = client.query("bank", "a1");
+  ASSERT_TRUE(answered.is_ok()) << answered.status();
+  EXPECT_EQ(answered.value().balances.balance("usd"), kInitial - 10);
+
+  // The standby promotes behind the cut and moves on.  Healed, the deposed
+  // primary still answers without a round trip: it has not heard of the
+  // promotion, and its answer is stale.
+  ASSERT_TRUE(rw.standby->promote().is_ok());
+  ASSERT_TRUE(client.transfer("bankb", "a1", "a2", "usd", 5).is_ok());
+  rw.world.net.restore_link("bank", "bankb");
+  auto stale = client.query("bank", "a1");
+  ASSERT_TRUE(stale.is_ok()) << stale.status();
+  EXPECT_EQ(stale.value().balances.balance("usd"), kInitial - 10);
+  EXPECT_FALSE(rw.primary->fenced());
+
+  // The next heartbeat meets the newer epoch: the primary fences itself
+  // and answers nothing more.
+  EXPECT_TRUE(rw.shipper->ship_once().fenced);
+  EXPECT_TRUE(rw.primary->fenced());
+  EXPECT_EQ(client.query("bank", "a1").code(), ErrorCode::kUnavailable);
 }
 
 TEST(Replication, ReplicatedDedupMakesFailoverExactlyOnce) {
@@ -472,6 +514,178 @@ TEST(Replication, StorageDeadStandbyWithholdsItsAckFromTheBarrier) {
   EXPECT_FALSE(progress.all_reachable);
   EXPECT_EQ(progress.min_acked_lsn, 0u);
   EXPECT_EQ(rw.shipper->acked_lsn("bankb"), 0u);
+}
+
+// ---- The barrier under concurrency -----------------------------------------
+
+/// Forwards to a node, counting the ship requests it sees.
+class CountingShips final : public net::Node {
+ public:
+  explicit CountingShips(net::Node& standby) : standby_(standby) {}
+  net::Envelope handle(const net::Envelope& request) override {
+    if (request.type == net::MsgType::kReplShip) ships.fetch_add(1);
+    return standby_.handle(request);
+  }
+  std::atomic<int> ships{0};
+
+ private:
+  net::Node& standby_;
+};
+
+TEST(Replication, ConcurrentWaitersOnADurableLsnShareOneShip) {
+  ReplicaWorld rw;
+  rw.open("a1");
+  rw.open("a2");
+  rw.make_standby();
+  CountingShips counting(*rw.standby);
+  rw.world.net.attach("bankb", counting);
+  const std::uint64_t target = rw.primary->journal_durable_lsn();
+  ASSERT_GT(target, 0u);
+
+  // However they interleave, the waiters either park on the one round in
+  // flight or find the target acked when they arrive.
+  constexpr int kWaiters = 8;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.emplace_back([&] {
+      if (!rw.shipper->ship_until(target).is_ok()) failures.fetch_add(1);
+    });
+  }
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(counting.ships.load(), 1);
+  EXPECT_EQ(rw.standby->received_lsn(), target);
+
+  // Already acked: nothing to send.
+  ASSERT_TRUE(rw.shipper->ship_until(target).is_ok());
+  EXPECT_EQ(counting.ships.load(), 1);
+}
+
+TEST(Replication, ConcurrentWaitersAllFailWhileTheStandbyIsUnreachable) {
+  ReplicaWorld rw;
+  rw.open("a1");
+  rw.make_standby();
+  const std::uint64_t target = rw.primary->journal_durable_lsn();
+  rw.world.net.fail_link("bank", "bankb");
+
+  // Every failed round counts against each waiter that saw it end, so no
+  // waiter outlasts max_attempts rounds however the others interleave.
+  constexpr int kWaiters = 4;
+  std::atomic<int> unavailable{0};
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.emplace_back([&] {
+      if (rw.shipper->ship_until(target).code() == ErrorCode::kUnavailable) {
+        unavailable.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : waiters) t.join();
+  EXPECT_EQ(unavailable.load(), kWaiters);
+  EXPECT_EQ(rw.shipper->acked_lsn("bankb"), 0u);
+
+  rw.world.net.restore_link("bank", "bankb");
+  ASSERT_TRUE(rw.shipper->ship_until(target).is_ok());
+  EXPECT_EQ(rw.standby->received_lsn(), target);
+}
+
+TEST(Replication, GroupBarrierIsTheOnlyFsyncUnderConcurrentWriters) {
+  storage::CrashPoint crash;  // inert: only counts the fsyncs it admits
+  ReplicaWorld rw(/*with_barrier=*/true, [&](AccountingServer::Config& c) {
+    c.fsync_policy = storage::FsyncPolicy::kGroup;
+    c.crash_point = &crash;
+  });
+  rw.open("a1");
+  rw.open("a2");
+  rw.make_standby();
+  ASSERT_TRUE(
+      rw.shipper->ship_until(rw.primary->journal_durable_lsn()).is_ok());
+  const std::uint64_t syncs_before = crash.syncs_seen();
+  const std::uint64_t group_before = rw.primary->journal_group_stats().fsyncs;
+
+  // Each writer reaches the bank over a SimNet of its own, so the
+  // handlers overlap however the shared net schedules round trips.
+  constexpr int kWriters = 4;
+  constexpr int kTransfers = 25;
+  const rproxy::testing::Principal& alice = rw.world.principal("alice");
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      net::SimNet front(rw.world.clock);
+      front.attach("bank", *rw.primary);
+      accounting::AccountingClient client(front, rw.world.clock, "alice",
+                                          alice.cert, alice.identity);
+      for (int i = 0; i < kTransfers; ++i) {
+        const bool forward = (w + i) % 2 == 0;
+        if (!client
+                 .transfer("bank", forward ? "a1" : "a2",
+                           forward ? "a2" : "a1", "usd", 1)
+                 .is_ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // No fsync happened outside a group barrier: every one the disk saw was
+  // a barrier's, which concurrent committers and barriers could share.
+  const std::uint64_t group_fsyncs =
+      rw.primary->journal_group_stats().fsyncs - group_before;
+  EXPECT_GT(group_fsyncs, 0u);
+  EXPECT_EQ(crash.syncs_seen() - syncs_before, group_fsyncs);
+  EXPECT_EQ(rw.standby->received_lsn(), rw.primary->journal_durable_lsn());
+  EXPECT_EQ(rw.replica_balance("a1") + rw.replica_balance("a2"),
+            2 * kInitial);
+  EXPECT_EQ(rw.replica_balance("a1"),
+            rw.primary->account("a1")->balances().balance("usd"));
+}
+
+/// The bank's attachment: just before the bank handles a balance query,
+/// another party appends a record and leaves it uncommitted — a
+/// revocation event, which the bank's registry listener journals on the
+/// reporting thread without a commit.
+class AppendBeforeQuery final : public net::Node {
+ public:
+  AppendBeforeQuery(AccountingServer& bank, core::RevocationRegistry& registry)
+      : bank_(bank), registry_(registry) {}
+  net::Envelope handle(const net::Envelope& request) override {
+    if (request.type == net::MsgType::kAccountQuery) {
+      registry_.bump("mallory");
+      pending = bank_.journal_next_lsn() - 1;
+      durable_at_query = bank_.journal_durable_lsn();
+    }
+    return bank_.handle(request);
+  }
+  std::uint64_t pending = 0;
+  std::uint64_t durable_at_query = 0;
+
+ private:
+  AccountingServer& bank_;
+  core::RevocationRegistry& registry_;
+};
+
+TEST(Replication, QueryReplyWaitsForOtherHandlersUncommittedRecords) {
+  ReplicaWorld rw(/*with_barrier=*/true, [](AccountingServer::Config& c) {
+    c.fsync_policy = storage::FsyncPolicy::kGroup;
+  });
+  rw.open("a1");
+  rw.make_standby();
+  AppendBeforeQuery front(*rw.primary, rw.world.revocation);
+  rw.world.net.attach("bank", front);
+
+  auto client = rw.world.accounting_client("alice");
+  auto reply = client.query("bank", "a1");
+  ASSERT_TRUE(reply.is_ok()) << reply.status();
+  ASSERT_LT(front.durable_at_query, front.pending);
+  // The reply may have seen the record, so it left only once the record
+  // was durable and every standby held it.
+  EXPECT_GE(rw.primary->journal_durable_lsn(), front.pending);
+  EXPECT_GE(rw.shipper->acked_lsn("bankb"), front.pending);
+  EXPECT_GE(rw.standby->received_lsn(), front.pending);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
-// Thread-safety of the stateful server caches: hammered from many threads,
-// the single-use guarantees must hold EXACTLY (no double acceptance, no
-// lost entries, no crashes under TSAN/ASAN).
+// Thread-safety of the stateful server caches and of SimNet: hammered from
+// many threads, the single-use guarantees must hold EXACTLY (no double
+// acceptance, no lost entries, no crashes under TSAN/ASAN), and SimNet's
+// counters must stay readable while round trips run.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "core/accept_once_cache.hpp"
 #include "core/challenge_registry.hpp"
 #include "crypto/random.hpp"
 #include "kdc/replay_cache.hpp"
+#include "net/simnet.hpp"
 #include "wire/encoder.hpp"
 
 namespace rproxy {
@@ -102,6 +107,100 @@ TEST(ThreadSafety, MixedIssueAndTake) {
   // regardless of interleaving with others.
   EXPECT_EQ(issued.load(), consumed.load());
   EXPECT_GT(issued.load(), 0);
+}
+
+/// Replies with the request's payload.
+class EchoNode final : public net::Node {
+ public:
+  net::Envelope handle(const net::Envelope& request) override {
+    net::Envelope reply;
+    reply.type = net::MsgType::kAppReply;
+    reply.payload = request.payload;
+    return reply;
+  }
+};
+
+TEST(ThreadSafety, SimNetStatsReadWhileRpcsRun) {
+  util::SimClock clock;
+  net::SimNet net(clock);
+  EchoNode echo;
+  net.attach("echo", echo);
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 500;
+  std::atomic<bool> done{false};
+  // The poller reads the counters the callers' round trips update.
+  std::thread poller([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const net::NetStats stats = net.stats();
+      EXPECT_GE(stats.rpcs, last);  // counters only grow
+      EXPECT_GE(stats.messages, stats.rpcs);
+      last = stats.rpcs;
+    }
+  });
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < kCalls; ++i) {
+        EXPECT_TRUE(
+            net.rpc("client", "echo", net::MsgType::kAppRequest, {1, 2, 3})
+                .is_ok());
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  done.store(true);
+  poller.join();
+  EXPECT_EQ(net.stats().rpcs, std::uint64_t{kCallers * kCalls});
+  EXPECT_EQ(net.stats().messages, std::uint64_t{2 * kCallers * kCalls});
+}
+
+/// The first request it handles waits (bounded) until a second one
+/// enters; records whether one did.
+class OverlapNode final : public net::Node {
+ public:
+  net::Envelope handle(const net::Envelope& request) override {
+    std::unique_lock lock(mutex_);
+    entered_ += 1;
+    cv_.notify_all();
+    if (entered_ == 1) {
+      overlapped_ = cv_.wait_for(lock, std::chrono::seconds(2),
+                                 [&] { return entered_ > 1; });
+    }
+    net::Envelope reply;
+    reply.type = net::MsgType::kAppReply;
+    reply.payload = request.payload;
+    return reply;
+  }
+  [[nodiscard]] bool overlapped() {
+    std::lock_guard lock(mutex_);
+    return overlapped_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool overlapped_ = false;
+};
+
+TEST(ThreadSafety, SimNetRunsHandlersOfConcurrentRpcsInParallel) {
+  // Two round trips from two threads: the second handler must be able to
+  // start while the first is still running, so the net holds no lock
+  // across handle().
+  util::SimClock clock;
+  net::SimNet net(clock);
+  OverlapNode node;
+  net.attach("node", node);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t) {
+    callers.emplace_back([&] {
+      EXPECT_TRUE(
+          net.rpc("client", "node", net::MsgType::kAppRequest, {}).is_ok());
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_TRUE(node.overlapped());
 }
 
 }  // namespace
