@@ -16,21 +16,13 @@ util::Status AcceptOnceCache::check_and_insert(const PrincipalName& grantor,
                                                std::uint64_t identifier,
                                                util::TimePoint expires_at,
                                                util::TimePoint now) {
-  util::Status st =
-      cache_.check_and_insert(key_(grantor, identifier), expires_at, now);
-  if (st.is_ok()) {
-    std::lock_guard lock(seen_mutex_);
-    seen_[{grantor, identifier}] = expires_at;
-  }
-  return st;
+  return cache_.check_and_insert(key_(grantor, identifier), expires_at, now);
 }
 
 bool AcceptOnceCache::seen(const PrincipalName& grantor,
                            std::uint64_t identifier,
                            util::TimePoint now) const {
-  std::lock_guard lock(seen_mutex_);
-  auto it = seen_.find({grantor, identifier});
-  return it != seen_.end() && it->second >= now;
+  return cache_.contains(key_(grantor, identifier), now);
 }
 
 }  // namespace rproxy::core

@@ -6,8 +6,6 @@
 // grantors may both use check number 7.  Thread-safe.
 #pragma once
 
-#include <mutex>
-
 #include "kdc/replay_cache.hpp"
 #include "util/names.hpp"
 
@@ -34,10 +32,6 @@ class AcceptOnceCache {
                           std::uint64_t identifier);
 
   kdc::ReplayCache cache_;
-  // Shadow set for the const `seen` query (ReplayCache only exposes
-  // check-and-insert); kept in lockstep under its own lock.
-  mutable std::mutex seen_mutex_;
-  std::map<std::pair<PrincipalName, std::uint64_t>, util::TimePoint> seen_;
 };
 
 }  // namespace rproxy::core

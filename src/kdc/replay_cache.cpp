@@ -22,6 +22,13 @@ util::Status ReplayCache::check_and_insert(util::BytesView item,
   return util::Status::ok();
 }
 
+bool ReplayCache::contains(util::BytesView item, util::TimePoint now) const {
+  const crypto::Digest d = crypto::sha256(item);
+  std::lock_guard lock(mutex_);
+  auto it = seen_.find(d);
+  return it != seen_.end() && it->second >= now;
+}
+
 void ReplayCache::purge(util::TimePoint now) {
   std::lock_guard lock(mutex_);
   purge_locked_(now);

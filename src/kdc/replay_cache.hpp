@@ -25,6 +25,11 @@ class ReplayCache {
                                               util::TimePoint expires_at,
                                               util::TimePoint now);
 
+  /// True if `item` is remembered at `now`.  Same boundary as
+  /// check_and_insert: an entry counts through its expiry instant, not one
+  /// tick after.  Inserts nothing.
+  [[nodiscard]] bool contains(util::BytesView item, util::TimePoint now) const;
+
   /// Drops entries whose expiry has passed.
   void purge(util::TimePoint now);
 

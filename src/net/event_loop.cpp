@@ -213,6 +213,10 @@ void EventLoopServer::on_readable_(Connection& conn) {
     if (got > 0) {
       conn.read_buf.insert(conn.read_buf.end(), chunk, chunk + got);
       conn.last_activity = mono_us();
+      // A short read drained the socket; skip the recv that would only
+      // say EAGAIN.  epoll is level-triggered, so bytes (or an EOF) that
+      // land later raise a fresh event.
+      if (static_cast<std::size_t>(got) < sizeof(chunk)) break;
       continue;
     }
     if (got == 0) {
@@ -240,7 +244,7 @@ void EventLoopServer::on_readable_(Connection& conn) {
 
 bool EventLoopServer::drain_read_buffer_(Connection& conn) {
   std::size_t off = 0;
-  bool queued = false;
+  std::size_t queued = 0;
   while (!conn.reading_paused && conn.read_buf.size() - off >= 4) {
     const std::uint8_t* p = conn.read_buf.data() + off;
     const std::uint32_t len = (std::uint32_t{p[0]} << 24) |
@@ -259,7 +263,7 @@ bool EventLoopServer::drain_read_buffer_(Connection& conn) {
       std::lock_guard lock(tasks_mutex_);
       tasks_.push_back(std::move(task));
     }
-    queued = true;
+    queued += 1;
     if (conn.in_flight >= options_.max_pipeline) {
       // Backpressure: stop reading until replies drain.  Bytes already
       // received stay in read_buf; the kernel buffer and then the peer
@@ -273,7 +277,10 @@ bool EventLoopServer::drain_read_buffer_(Connection& conn) {
                         conn.read_buf.begin() +
                             static_cast<std::ptrdiff_t>(off));
   }
-  if (queued) tasks_cv_.notify_all();
+  // One wake per frame: waking every worker for one frame sends all but
+  // one straight back to sleep.  Workers re-check the queue under the
+  // lock before they wait, so a signal that finds no waiter loses no task.
+  for (std::size_t i = 0; i < queued; ++i) tasks_cv_.notify_one();
   return true;
 }
 
@@ -314,18 +321,28 @@ void EventLoopServer::worker_loop_() {
     done.conn_id = task.conn_id;
     done.seq = task.seq;
     done.reply_frame = encode_reply_frame(reply);
+    bool first = false;
     {
       std::lock_guard lock(completions_mutex_);
+      first = completions_.empty();
       completions_.push_back(std::move(done));
     }
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+    // One eventfd write per burst: a completion that finds the queue
+    // non-empty rides the wake of the one that made it non-empty.
+    if (first) {
+      const std::uint64_t one = 1;
+      [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+    }
   }
 }
 
 void EventLoopServer::drain_completions_() {
   std::vector<Completion> batch;
   {
+    // Take the WHOLE queue: the workers' coalesced wake relies on it.
+    // Once this swap empties the queue, the next push is again the first
+    // and writes the eventfd; a bounded drain would leave completions
+    // behind with no write to come for them.
     std::lock_guard lock(completions_mutex_);
     batch.swap(completions_);
   }

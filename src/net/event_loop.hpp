@@ -22,6 +22,12 @@
 //   * Workers only decode a frame, run Node::handle() (handlers are
 //     thread-safe, as with TcpServer), encode the reply, and push a
 //     completion; an eventfd wakes the reactor to write it out.
+//   * Wake only threads that have work: the reactor signals one worker
+//     per queued frame (notify_one), and a worker writes the eventfd only
+//     when its completion lands in an empty queue.  The reactor takes the
+//     whole completion queue per wake, which is what makes that safe.
+//     Reads stop at a short recv; epoll stays level-triggered, so later
+//     bytes raise a fresh event.
 //   * Backpressure: past `max_pipeline` undecided frames the connection's
 //     EPOLLIN is paused — the kernel receive buffer, then the client,
 //     absorb the overflow.

@@ -46,5 +46,14 @@ TEST(AcceptOnceCache, SeenQuery) {
   EXPECT_FALSE(cache.seen("bob", 7, 0));
 }
 
+TEST(AcceptOnceCache, SeenThroughExpiryInstantOnly) {
+  // seen() keeps check_and_insert's boundary: a replay is rejected at the
+  // expiry instant itself and accepted one tick after.
+  AcceptOnceCache cache;
+  ASSERT_TRUE(cache.check_and_insert("alice", 7, 10 * kSecond, 0).is_ok());
+  EXPECT_TRUE(cache.seen("alice", 7, 10 * kSecond));
+  EXPECT_FALSE(cache.seen("alice", 7, 10 * kSecond + 1));
+}
+
 }  // namespace
 }  // namespace rproxy::core
