@@ -6,7 +6,9 @@
 //       replication lag drained in bulk: a fresh standby catches up on a
 //       preloaded journal through ship rounds of the given batch size.
 //       items/sec = replicated records/sec; bigger batches amortize the
-//       per-RPC framing and the per-round committed-tail read.
+//       per-RPC framing.  The committed-tail read costs O(frames
+//       shipped) per round (the journal's frame index), so it no longer
+//       favours big batches.
 //   BM_SemiSyncTransfer/standbys:{0,1,2}/fsync:{batch,every,group}
 //       the price of durability-before-ack: a full authenticated transfer
 //       through the replication barrier.  standbys:0 is the async

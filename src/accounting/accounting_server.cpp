@@ -1164,9 +1164,9 @@ util::Status AccountingServer::journal_append_(const Record& record) {
 
 template <typename Body>
 util::Status AccountingServer::journaled_call_(Body&& body) {
-  // Clear any LSN an earlier setup call or revocation listener left on
-  // this thread (possibly on another server's journal), exactly as
-  // handle() does, so only this call's records are committed below.
+  // Clear any LSN an earlier open_account/set_route left on this thread
+  // (possibly on another server's journal), exactly as handle() does, so
+  // only this call's records are committed below.
   t_uncommitted_lsn = 0;
   {
     std::lock_guard lock(state_mutex_);
@@ -1206,13 +1206,24 @@ util::Status AccountingServer::recover() {
   // registry is journaled like any other mutation, so a crash-restarted
   // server re-applies it (snapshot merge + tail replay) before serving.
   // apply()/merge_state() do not re-notify listeners, so replay cannot
-  // echo records back into the journal.
+  // echo records back into the journal.  The record is durable before the
+  // event returns: the listener commits it on the revoking thread (the
+  // registry calls listeners outside its lock), after releasing the
+  // ledger lock like any handler, and leaves the thread's pending handler
+  // LSN as it found it.
   if (config_.revocation != nullptr && revocation_listener_ == 0) {
     revocation_listener_ = config_.revocation->add_listener(
         [this](const core::RevocationRegistry::Event& event) {
-          std::lock_guard lock(state_mutex_);
-          if (!log_.has_value() || storage_dead_.load()) return;
-          (void)journal_append_(RevocationRecord{event});
+          const std::uint64_t pending = t_uncommitted_lsn;
+          t_uncommitted_lsn = 0;
+          {
+            std::lock_guard lock(state_mutex_);
+            if (log_.has_value() && !storage_dead_.load()) {
+              (void)journal_append_(RevocationRecord{event});
+            }
+          }
+          (void)commit_pending_();
+          t_uncommitted_lsn = pending;
         });
   }
   return util::Status::ok();
@@ -1256,9 +1267,12 @@ std::uint64_t AccountingServer::journal_durable_lsn() const {
 util::Result<storage::LogDir::TailRead>
 AccountingServer::journal_read_committed(std::uint64_t from_lsn,
                                          std::size_t max_records) const {
-  // state_mutex_ then the LogDir rotation lock (shared) — the same order
-  // checkpoint() takes them (state, then rotation exclusive), so the
-  // shipper can read the tail while handlers append.
+  // Lock order: state_mutex_, then the LogDir rotation lock (shared), then
+  // the journal's barrier mutex, held only to copy two frame offsets and
+  // the watermark.  checkpoint() takes the first two in the same order
+  // (rotation exclusive); an append takes state_mutex_ then the barrier
+  // mutex.  The state_mutex_ hold spans one pread of the shipped frames,
+  // O(frames shipped); releasing it for the read measured no gain.
   std::lock_guard lock(state_mutex_);
   if (!log_.has_value()) {
     return util::fail(ErrorCode::kUnavailable,
@@ -1551,7 +1565,7 @@ net::Envelope AccountingServer::handle(const net::Envelope& request) {
   // thread-local (set inside journal_append_ under state_mutex_); the
   // commit itself runs HERE, outside the lock, so concurrent handlers
   // park on one shared fsync instead of serializing the whole server.
-  t_uncommitted_lsn = 0;  // a revocation listener may have left a residue
+  t_uncommitted_lsn = 0;  // open_account/set_route may have left a residue
   net::Envelope reply = handle_dispatch_(request);
   if (!commit_pending_().is_ok()) {
     // The record may or may not be on disk; the in-memory mutation is

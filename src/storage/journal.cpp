@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "storage/crc32c.hpp"
@@ -82,6 +83,35 @@ util::Bytes encode_frame(std::uint16_t type, util::BytesView payload) {
   put_u32(frame, frame_crc(len, type, payload));
   frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
+}
+
+/// One intact frame, decoded in place: `payload` views the buffer it was
+/// read from.
+struct Frame {
+  std::uint16_t type = 0;
+  util::BytesView payload;
+  [[nodiscard]] std::size_t size() const {
+    return kFrameHeaderSize + payload.size();
+  }
+};
+
+/// Decodes the frame at the start of `data`; nullopt when it is torn or
+/// corrupt (shorter than its header, a length beyond the data or
+/// kMaxJournalRecordBytes, or a CRC mismatch).  Both readers stop at the
+/// first such frame: frames are appended in order and each is a single
+/// write, so nothing after a bad frame can be trusted (its very length
+/// prefix may be garbage).
+std::optional<Frame> decode_frame(util::BytesView data) {
+  if (data.size() < kFrameHeaderSize) return std::nullopt;
+  const std::uint32_t len = get_u32(data.data());
+  const std::uint16_t type = get_u16(data.data() + 4);
+  const std::uint32_t crc = get_u32(data.data() + 6);
+  if (len > kMaxJournalRecordBytes || len > data.size() - kFrameHeaderSize) {
+    return std::nullopt;
+  }
+  const util::BytesView payload = data.subspan(kFrameHeaderSize, len);
+  if (frame_crc(len, type, payload) != crc) return std::nullopt;
+  return Frame{type, payload};
 }
 
 util::Status io_fail(const std::string& what, const std::string& path) {
@@ -165,38 +195,20 @@ util::Result<JournalReader::Scan> JournalReader::read(
   Scan scan;
   scan.base_lsn = get_u64(data.data() + 8);
   std::size_t pos = kFileHeaderSize;
-  // Walk frames until the data runs out or a frame fails its CRC.  Either
-  // way the rest of the file is a torn tail: frames are appended in order
-  // and each is a single write, so nothing after a bad frame can be
-  // trusted (its very length prefix may be garbage).
+  // Walk frames until the data runs out or a frame fails its checks;
+  // either way the rest of the file is a torn tail.
   while (pos < data.size()) {
-    if (data.size() - pos < kFrameHeaderSize) {
+    const std::optional<Frame> frame =
+        decode_frame(util::BytesView(data).subspan(pos));
+    if (!frame.has_value()) {
       scan.tail_truncated = true;
       break;
     }
-    const std::uint32_t len = get_u32(data.data() + pos);
-    const std::uint16_t type = get_u16(data.data() + pos + 4);
-    const std::uint32_t crc = get_u32(data.data() + pos + 6);
-    if (len > kMaxJournalRecordBytes ||
-        len > data.size() - pos - kFrameHeaderSize) {
-      scan.tail_truncated = true;
-      break;
-    }
-    const util::BytesView payload{data.data() + pos + kFrameHeaderSize, len};
-    if (frame_crc(len, type, payload) != crc) {
-      scan.tail_truncated = true;
-      break;
-    }
-    JournalRecord record;
-    record.lsn = scan.base_lsn + scan.records.size();
-    record.type = type;
-    record.payload = util::to_bytes(payload);
-    scan.records.push_back(std::move(record));
-    pos += kFrameHeaderSize + len;
+    scan.records.push_back({scan.base_lsn + scan.records.size(), frame->type,
+                            util::to_bytes(frame->payload)});
+    pos += frame->size();
   }
-  scan.valid_bytes = scan.tail_truncated
-                         ? static_cast<std::uint64_t>(pos)
-                         : static_cast<std::uint64_t>(data.size());
+  scan.valid_bytes = pos;
   return scan;
 }
 
@@ -219,9 +231,12 @@ util::Result<JournalWriter> JournalWriter::create(const std::string& path,
   JournalWriter writer;
   writer.path_ = path;
   writer.fd_ = fd;
+  writer.read_fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (writer.read_fd_ < 0) return io_fail("journal open", path);
+  writer.base_lsn_ = base_lsn;
   writer.next_lsn_ = base_lsn;
   writer.config_ = config;
-  writer.appended_lsn_ = base_lsn - 1;
+  writer.frame_offsets_.push_back(kFileHeaderSize);
   writer.commit_ = std::make_unique<CommitState>();
   writer.commit_->durable_lsn = base_lsn - 1;
   return writer;
@@ -248,11 +263,20 @@ util::Result<JournalWriter> JournalWriter::open(const std::string& path,
   JournalWriter writer;
   writer.path_ = path;
   writer.fd_ = fd;
+  writer.read_fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (writer.read_fd_ < 0) return io_fail("journal open", path);
+  writer.base_lsn_ = scan.base_lsn;
   writer.next_lsn_ = scan.base_lsn + scan.records.size();
   writer.config_ = config;
+  // Index the valid prefix the scan kept; a truncated tail is not in it.
+  writer.frame_offsets_.reserve(scan.records.size() + 1);
+  writer.frame_offsets_.push_back(kFileHeaderSize);
+  for (const JournalRecord& record : scan.records) {
+    writer.frame_offsets_.push_back(writer.frame_offsets_.back() +
+                                    kFrameHeaderSize + record.payload.size());
+  }
   // Records that survived the reopen scan count as durable: they were on
   // disk before this process existed.
-  writer.appended_lsn_ = writer.next_lsn_ - 1;
   writer.commit_ = std::make_unique<CommitState>();
   writer.commit_->durable_lsn = writer.next_lsn_ - 1;
   return writer;
@@ -263,27 +287,34 @@ util::Result<JournalWriter> JournalWriter::open(const std::string& path,
 JournalWriter::JournalWriter(JournalWriter&& other) noexcept
     : path_(std::move(other.path_)),
       fd_(other.fd_),
+      read_fd_(other.read_fd_),
+      base_lsn_(other.base_lsn_),
       next_lsn_(other.next_lsn_),
       config_(other.config_),
       unsynced_records_(other.unsynced_records_),
       dead_(other.dead_.load()),
-      appended_lsn_(other.appended_lsn_),
+      frame_offsets_(std::move(other.frame_offsets_)),
       commit_(std::move(other.commit_)) {
   other.fd_ = -1;
+  other.read_fd_ = -1;
 }
 
 JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
   if (this != &other) {
     if (fd_ >= 0) ::close(fd_);
+    if (read_fd_ >= 0) ::close(read_fd_);
     path_ = std::move(other.path_);
     fd_ = other.fd_;
+    read_fd_ = other.read_fd_;
+    base_lsn_ = other.base_lsn_;
     next_lsn_ = other.next_lsn_;
     config_ = other.config_;
     unsynced_records_ = other.unsynced_records_;
     dead_.store(other.dead_.load());
-    appended_lsn_ = other.appended_lsn_;
+    frame_offsets_ = std::move(other.frame_offsets_);
     commit_ = std::move(other.commit_);
     other.fd_ = -1;
+    other.read_fd_ = -1;
   }
   return *this;
 }
@@ -295,6 +326,7 @@ JournalWriter::~JournalWriter() {
     }
     ::close(fd_);
   }
+  if (read_fd_ >= 0) ::close(read_fd_);
 }
 
 util::Result<std::uint64_t> JournalWriter::append(std::uint16_t type,
@@ -311,8 +343,13 @@ util::Result<std::uint64_t> JournalWriter::append(std::uint16_t type,
   if (config_.crash != nullptr) {
     admitted = config_.crash->admit(frame.size());
   }
-  RPROXY_RETURN_IF_ERROR(
-      write_all(fd_, {frame.data(), admitted}, path_));
+  const util::Status written = write_all(fd_, {frame.data(), admitted}, path_);
+  if (!written.is_ok()) {
+    // Part of the frame may be on disk, so the file no longer ends where
+    // the frame index says: accept no more frames.
+    dead_.store(true);
+    return written;
+  }
   if (admitted < frame.size()) {
     // Simulated kill mid-write: the torn frame is on disk, the record is
     // NOT durable, and this "process" no longer accepts work.
@@ -326,10 +363,10 @@ util::Result<std::uint64_t> JournalWriter::append(std::uint16_t type,
   next_lsn_ += 1;
   unsynced_records_ += 1;
   {
-    // The commit leader reads appended_lsn_ from another thread; publish
-    // the fully-written frame under the barrier mutex.
+    // The commit leader and read_durable read the index from other
+    // threads; publish the fully-written frame under the barrier mutex.
     std::lock_guard lock(commit_->mutex);
-    appended_lsn_ = lsn;
+    frame_offsets_.push_back(frame_offsets_.back() + frame.size());
   }
   const bool want_sync =
       config_.fsync_policy == FsyncPolicy::kEveryRecord ||
@@ -362,7 +399,8 @@ util::Status JournalWriter::sync() {
   RPROXY_RETURN_IF_ERROR(fsync_now_());
   unsynced_records_ = 0;
   std::lock_guard lock(commit_->mutex);
-  commit_->durable_lsn = std::max(commit_->durable_lsn, appended_lsn_);
+  commit_->durable_lsn =
+      std::max(commit_->durable_lsn, appended_lsn_locked_());
   return util::Status::ok();
 }
 
@@ -399,7 +437,7 @@ util::Status JournalWriter::commit(std::uint64_t lsn) {
   // before it starts — ours included, since our append() returned before
   // this call.
   cs.sync_in_progress = true;
-  std::uint64_t target = appended_lsn_;
+  std::uint64_t target = appended_lsn_locked_();
   lock.unlock();
   // Bounded accumulation: appenders already racing toward their own
   // commit() get a moment to land so this flush covers them too (on a
@@ -412,7 +450,7 @@ util::Status JournalWriter::commit(std::uint64_t lsn) {
     std::uint64_t now = 0;
     {
       std::lock_guard relock(cs.mutex);
-      now = appended_lsn_;
+      now = appended_lsn_locked_();
     }
     if (now == target) break;
     target = now;
@@ -444,6 +482,52 @@ JournalWriter::GroupStats JournalWriter::group_stats() const {
 std::uint64_t JournalWriter::durable_lsn() const {
   std::lock_guard lock(commit_->mutex);
   return commit_->durable_lsn;
+}
+
+util::Result<std::uint64_t> JournalWriter::read_durable(
+    std::uint64_t from_lsn, std::size_t max_records,
+    std::vector<JournalRecord>* out) const {
+  // Only the index lookup runs under the barrier mutex; appends and
+  // commits proceed during the pread.  Every frame at or below the
+  // watermark was fully written before its fsync, so the bytes read are
+  // stable.
+  std::uint64_t durable = 0;
+  std::uint64_t last = 0;
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+  {
+    std::lock_guard lock(commit_->mutex);
+    durable = commit_->durable_lsn;
+    if (from_lsn < base_lsn_ || from_lsn > durable || max_records == 0) {
+      return durable;
+    }
+    last = durable - from_lsn < max_records ? durable
+                                             : from_lsn + max_records - 1;
+    begin = frame_offsets_[from_lsn - base_lsn_];
+    end = frame_offsets_[last - base_lsn_ + 1];
+  }
+  util::Bytes data(end - begin);
+  std::size_t got = 0;
+  while (got < data.size()) {
+    const ssize_t n = ::pread(read_fd_, data.data() + got, data.size() - got,
+                              static_cast<off_t>(begin + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return io_fail("journal read", path_);
+    }
+    if (n == 0) break;  // shorter than indexed: the decoder sees a torn frame
+    got += static_cast<std::size_t>(n);
+  }
+  const util::BytesView frames = util::BytesView(data).first(got);
+  out->reserve(out->size() + (last - from_lsn + 1));
+  std::size_t pos = 0;
+  for (std::uint64_t lsn = from_lsn; lsn <= last; ++lsn) {
+    const std::optional<Frame> frame = decode_frame(frames.subspan(pos));
+    if (!frame.has_value()) break;
+    out->push_back({lsn, frame->type, util::to_bytes(frame->payload)});
+    pos += frame->size();
+  }
+  return durable;
 }
 
 }  // namespace rproxy::storage

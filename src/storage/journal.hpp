@@ -23,6 +23,11 @@
 // durable, so durable throughput grows with concurrency instead of
 // serializing on the disk.  bench_t9_journal / bench_t11_event_loop
 // measure the spread.
+//
+// The writer also keeps an in-memory index of where each frame starts (8
+// bytes per record in the file), so replication's tail read
+// (read_durable) fetches exactly the frames it ships with one pread
+// instead of rescanning the file.
 #pragma once
 
 #include <atomic>
@@ -147,6 +152,20 @@ class JournalWriter {
   /// Thread-safe.
   [[nodiscard]] std::uint64_t durable_lsn() const;
 
+  /// Appends the durable records with LSN in [from_lsn, min(durable_lsn,
+  /// from_lsn + max_records - 1)] to `out` and returns the durable LSN the
+  /// read was capped at.  One pread of exactly those frames, located
+  /// through the frame index; each frame passes the same length and CRC
+  /// checks as JournalReader::read, and the first that fails ends the
+  /// read.  A `from_lsn` below base_lsn() or above the watermark reads
+  /// nothing.  Thread-safe against append() and commit().
+  [[nodiscard]] util::Result<std::uint64_t> read_durable(
+      std::uint64_t from_lsn, std::size_t max_records,
+      std::vector<JournalRecord>* out) const;
+
+  /// LSN of this file's first record.
+  [[nodiscard]] std::uint64_t base_lsn() const { return base_lsn_; }
+
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
@@ -168,8 +187,17 @@ class JournalWriter {
   /// fsync(fd_) with crash-point gating; marks the writer dead on failure.
   [[nodiscard]] util::Status fsync_now_();
 
+  /// Highest LSN whose frame is fully written to the fd.  Caller holds
+  /// commit_->mutex.
+  [[nodiscard]] std::uint64_t appended_lsn_locked_() const {
+    return base_lsn_ + frame_offsets_.size() - 2;
+  }
+
   std::string path_;
   int fd_ = -1;
+  /// Read-only descriptor on the same file, for read_durable's pread.
+  int read_fd_ = -1;
+  std::uint64_t base_lsn_ = 1;
   std::uint64_t next_lsn_ = 1;
   Config config_;
   std::size_t unsynced_records_ = 0;
@@ -177,9 +205,12 @@ class JournalWriter {
   /// group-commit leader can mark the writer dead while another thread is
   /// mid-append.
   std::atomic<bool> dead_{false};
-  /// Highest LSN whose frame is fully written to the fd.  Guarded by
-  /// commit_->mutex (the commit leader reads it from another thread).
-  std::uint64_t appended_lsn_ = 0;
+  /// Byte offset of every fully written frame, plus one entry past the
+  /// last: the frame of LSN base_lsn_ + i spans [frame_offsets_[i],
+  /// frame_offsets_[i + 1]).  Never empty (entry 0 is the header size).
+  /// Guarded by commit_->mutex: the commit leader and read_durable read
+  /// it from other threads.
+  std::vector<std::uint64_t> frame_offsets_;
   std::unique_ptr<CommitState> commit_;
 };
 

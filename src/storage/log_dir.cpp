@@ -149,15 +149,24 @@ std::uint64_t LogDir::durable_lsn() const {
 
 util::Result<LogDir::TailRead> LogDir::read_committed(
     std::uint64_t from_lsn, std::size_t max_records) const {
-  // Shared rotation lock: a concurrent checkpoint() must not delete a
-  // journal file out from under the scan.  Appends need no coordination —
-  // the cap at durable_lsn keeps the scan inside the fully-written,
-  // fsynced prefix.
+  // Shared rotation lock: a concurrent checkpoint() must not replace the
+  // active journal or delete a file out from under the read.  Appends
+  // need no coordination — the cap at durable_lsn keeps the read inside
+  // the fully-written, fsynced prefix.
   std::shared_lock lock(*rotate_lock_);
   TailRead out;
-  out.durable_lsn = journal_->durable_lsn();
   if (from_lsn == 0) from_lsn = 1;
-  if (from_lsn > out.durable_lsn) return out;  // caught up (or ahead)
+  if (from_lsn >= journal_->base_lsn()) {
+    // The steady state: the active journal's frame index locates exactly
+    // the frames to ship.
+    RPROXY_ASSIGN_OR_RETURN(
+        out.durable_lsn,
+        journal_->read_durable(from_lsn, max_records, &out.records));
+    return out;
+  }
+  // Below the active journal: the records, if any survive, sit in files
+  // an interrupted compaction left behind.  Scan the directory for them.
+  out.durable_lsn = journal_->durable_lsn();
   const std::vector<std::uint64_t> bases = list_journals(config_.dir);
   if (bases.empty() || bases.front() > from_lsn) {
     return util::fail(ErrorCode::kNotFound,

@@ -89,11 +89,16 @@ class LogDir {
   };
 
   /// Committed records with LSN >= `from_lsn`, capped at the durable
-  /// watermark (shipped ⊆ fsynced) and at `max_records`.  Safe against a
-  /// concurrent append or checkpoint: files are scanned under the
-  /// rotation lock, and a frame the appender is mid-way through writing
-  /// reads as a torn tail — which is above the watermark anyway, since
-  /// every frame at or below it was fully written before its fsync.
+  /// watermark (shipped ⊆ fsynced) and at `max_records`.  From the active
+  /// journal's base LSN on, the writer's frame index locates exactly the
+  /// requested frames and one pread fetches them
+  /// (JournalWriter::read_durable), so a read costs O(records returned),
+  /// not O(journal).  Below that base, where only files an interrupted
+  /// compaction left behind can hold the records, the directory is listed
+  /// and each file scanned whole.  Both paths check every frame's length
+  /// and CRC.  Safe against a concurrent append or checkpoint: both run
+  /// under the rotation lock, and the cap keeps them inside frames fully
+  /// written before their fsync.
   /// Fails kNotFound when `from_lsn` predates the oldest journal on disk
   /// (compacted away by a checkpoint); the caller bootstraps the follower
   /// from latest_snapshot() instead.

@@ -645,16 +645,14 @@ TEST(Replication, GroupBarrierIsTheOnlyFsyncUnderConcurrentWriters) {
 }
 
 /// The bank's attachment: just before the bank handles a balance query,
-/// another party appends a record and leaves it uncommitted — a
-/// revocation event, which the bank's registry listener journals on the
-/// reporting thread without a commit.
+/// another party appends a record and leaves it uncommitted — an
+/// open_account setup call, which journals without a commit.
 class AppendBeforeQuery final : public net::Node {
  public:
-  AppendBeforeQuery(AccountingServer& bank, core::RevocationRegistry& registry)
-      : bank_(bank), registry_(registry) {}
+  explicit AppendBeforeQuery(AccountingServer& bank) : bank_(bank) {}
   net::Envelope handle(const net::Envelope& request) override {
     if (request.type == net::MsgType::kAccountQuery) {
-      registry_.bump("mallory");
+      bank_.open_account("m1", "mallory", Balances{{"usd", 1}});
       pending = bank_.journal_next_lsn() - 1;
       durable_at_query = bank_.journal_durable_lsn();
     }
@@ -665,7 +663,6 @@ class AppendBeforeQuery final : public net::Node {
 
  private:
   AccountingServer& bank_;
-  core::RevocationRegistry& registry_;
 };
 
 TEST(Replication, QueryReplyWaitsForOtherHandlersUncommittedRecords) {
@@ -674,7 +671,7 @@ TEST(Replication, QueryReplyWaitsForOtherHandlersUncommittedRecords) {
   });
   rw.open("a1");
   rw.make_standby();
-  AppendBeforeQuery front(*rw.primary, rw.world.revocation);
+  AppendBeforeQuery front(*rw.primary);
   rw.world.net.attach("bank", front);
 
   auto client = rw.world.accounting_client("alice");

@@ -310,5 +310,31 @@ TEST_F(RevocationEpochTest, RevocationStateSurvivesCrashRestart) {
   }
 }
 
+TEST_F(RevocationEpochTest, RevocationRecordIsDurableWhenTheEventReturns) {
+  // Under group commit nothing but the listener itself commits a
+  // revocation record; a crash right after the event returns must not
+  // lose it, or a restarted bank verifies the revoked chain again.
+  TempDir dir;
+  world_.add_principal("bank");
+  auto config = world_.accounting_config("bank");
+  config.storage_dir = dir.sub("bank");
+  config.storage_key = crypto::SymmetricKey::generate();
+  config.fsync_policy = storage::FsyncPolicy::kGroup;
+  accounting::AccountingServer bank(std::move(config));
+  ASSERT_TRUE(bank.recover().is_ok());
+  const std::uint64_t before = bank.journal_next_lsn();
+
+  world_.revocation.bump("alice");
+  EXPECT_EQ(bank.journal_durable_lsn(), bank.journal_next_lsn() - 1);
+  world_.clock.advance(util::kMinute);
+  world_.revocation.revoke_grants_before("carol", world_.clock.now());
+  EXPECT_EQ(bank.journal_durable_lsn(), bank.journal_next_lsn() - 1);
+  world_.revocation.revoke_cert(
+      "alice", core::revocation_id_of(pk_capability("alice").chain.certs[0]));
+  EXPECT_EQ(bank.journal_durable_lsn(), bank.journal_next_lsn() - 1);
+  EXPECT_EQ(bank.journal_next_lsn(), before + 3);
+  EXPECT_FALSE(bank.storage_dead());
+}
+
 }  // namespace
 }  // namespace rproxy
