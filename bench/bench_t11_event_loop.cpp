@@ -293,23 +293,20 @@ void BM_DurableTransferConcurrent(benchmark::State& state) {
     return;
   }
   const testing::Principal& alice = w.world.principal("alice");
-  struct Empty {
-    void encode(wire::Encoder&) const {}
-    static Empty decode(wire::Decoder&) { return {}; }
-  };
   for (auto _ : state) {
     net::Envelope ce;
     ce.from = "alice";
     ce.to = "bank";
     ce.type = net::MsgType::kPresentChallengeRequest;
-    ce.payload = wire::encode_to_bytes(Empty{});
+    ce.payload = wire::encode_to_bytes(core::ChallengeRequest{});
     auto creply = client.rpc(ce);
     if (!creply.is_ok()) {
       state.SkipWithError(creply.status().to_string().c_str());
       return;
     }
-    auto challenge = wire::decode_from_bytes<server::ChallengePayload>(
-        creply.value().payload);
+    auto challenge =
+        wire::decode_from_bytes<core::ChallengeRegistry::Challenge>(
+            creply.value().payload);
     if (!challenge.is_ok()) {
       state.SkipWithError("bad challenge reply");
       return;

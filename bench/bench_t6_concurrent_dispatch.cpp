@@ -118,25 +118,21 @@ void BM_TcpPresentationThroughput(benchmark::State& state) {
       {core::ObjectRights{"/doc", {"read"}}}, w.world.clock.now(),
       8 * util::kHour);
 
-  struct Empty {
-    void encode(wire::Encoder&) const {}
-    static Empty decode(wire::Decoder&) { return {}; }
-  };
-
   for (auto _ : state) {
     // Challenge round trip.
     net::Envelope ce;
     ce.from = "alice";
     ce.to = "file-server";
     ce.type = net::MsgType::kPresentChallengeRequest;
-    ce.payload = wire::encode_to_bytes(Empty{});
+    ce.payload = wire::encode_to_bytes(core::ChallengeRequest{});
     auto creply = client.rpc(ce);
     if (!creply.is_ok()) {
       state.SkipWithError(creply.status().to_string().c_str());
       return;
     }
-    auto challenge = wire::decode_from_bytes<server::ChallengePayload>(
-        creply.value().payload);
+    auto challenge =
+        wire::decode_from_bytes<core::ChallengeRegistry::Challenge>(
+            creply.value().payload);
     if (!challenge.is_ok()) {
       state.SkipWithError(challenge.status().to_string().c_str());
       return;

@@ -11,29 +11,6 @@ namespace rproxy::accounting {
 using util::ErrorCode;
 
 namespace {
-/// Empty payload for challenge requests.
-struct EmptyPayload {
-  void encode(wire::Encoder&) const {}
-  static EmptyPayload decode(wire::Decoder&) { return {}; }
-};
-
-/// Challenge reply payload (same shape the end-server uses).
-struct ChallengeReply {
-  std::uint64_t id = 0;
-  util::Bytes nonce;
-
-  void encode(wire::Encoder& enc) const {
-    enc.u64(id);
-    enc.bytes(nonce);
-  }
-  static ChallengeReply decode(wire::Decoder& dec) {
-    ChallengeReply c;
-    c.id = dec.u64();
-    c.nonce = dec.bytes();
-    return c;
-  }
-};
-
 util::Bytes deposit_digest(const DepositPayload& req) {
   return core::request_digest("deposit", req.collect_account,
                               {{req.check.currency, req.amount}});
@@ -746,8 +723,9 @@ util::Status AccountingServer::apply_(const MigrateOutRecord& rec,
   for (auto it = accounts_.begin(); it != accounts_.end();) {
     const std::string& name = it->first;
     if (!is_infrastructure_account(name) && rec.spec.covers(name)) {
-      certified_.erase_if(
-          [&](const CertifiedHold& hold) { return hold.account == name; });
+      certified_.erase_if([&](const DedupKey&, const CertifiedHold& hold) {
+        return hold.account == name;
+      });
       it = accounts_.erase(it);
     } else {
       ++it;
@@ -1037,7 +1015,7 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
     }
     accounts.insert_or_assign(name, std::move(account));
   }
-  ExpiringTable<CertifiedHold> certified;
+  util::ExpiringTable<DedupKey, CertifiedHold> certified;
   const std::uint32_t hold_count = dec.u32();
   for (std::uint32_t i = 0; i < hold_count && dec.ok(); ++i) {
     std::pair<PrincipalName, std::uint64_t> cert_key;
@@ -1660,15 +1638,9 @@ net::Envelope AccountingServer::handle_dispatch_(
     const net::Envelope& request) {
   purge_expired_holds_(config_.clock->now());
   switch (request.type) {
-    case net::MsgType::kPresentChallengeRequest: {
-      const core::ChallengeRegistry::Challenge issued =
-          challenges_.issue(config_.clock->now());
-      ChallengeReply reply;
-      reply.id = issued.id;
-      reply.nonce = issued.nonce;
+    case net::MsgType::kPresentChallengeRequest:
       return net::make_reply(request, net::MsgType::kPresentChallengeReply,
-                             reply);
-    }
+                             challenges_.issue(config_.clock->now()));
     case net::MsgType::kAccountQuery:
       return handle_query_(request);
     case net::MsgType::kTransferRequest:
@@ -1787,9 +1759,13 @@ net::Envelope AccountingServer::handle_certify_(const net::Envelope& request) {
     auto acct = authorized_account_(req.account, who.value(), "debit");
     if (!acct.is_ok()) return net::make_error_reply(request, acct.status());
     if (certified_.contains(dedup_key) ||
+        completed_deposits_.contains(dedup_key) ||
         accept_once_.seen(who.value(), req.check_number, now)) {
       // Outstanding hold OR a check with this number already cleared within
       // its window (§7.7: the check number is remembered until expiry).
+      // The dedup table is the durable memory of a settled number, so a
+      // recovered bank refuses it too; accept_once_ starts empty after a
+      // restart and is what remains with dedup off.
       return net::make_error_reply(
           request, util::fail(ErrorCode::kReplay,
                               "check number already certified or spent"));
@@ -2100,11 +2076,12 @@ util::Result<DepositReplyPayload> AccountingServer::collect_foreign_(
       *config_.net, config_.collect_retry,
       [&]() -> util::Result<DepositReplyPayload> {
         RPROXY_ASSIGN_OR_RETURN(
-            ChallengeReply challenge,
-            (net::call<ChallengeReply>(
+            core::ChallengeRegistry::Challenge challenge,
+            (net::call<core::ChallengeRegistry::Challenge>(
                 *config_.net, config_.name, next,
                 net::MsgType::kPresentChallengeRequest,
-                net::MsgType::kPresentChallengeReply, EmptyPayload{})));
+                net::MsgType::kPresentChallengeReply,
+                core::ChallengeRequest{})));
         DepositPayload forward;
         forward.check = endorsed.value();
         forward.collect_account = "peer:" + config_.name;
@@ -2174,7 +2151,7 @@ void AccountingServer::purge_expired_holds_(util::TimePoint now) {
   // time on the check" applies to the replayed reply just as it does to
   // the remembered check number.
   for (DedupTable* table : {&completed_deposits_, &completed_certifies_}) {
-    table->purge(now, [](const CompletedOp&) {});
+    table->purge(now);
   }
 }
 
@@ -2192,7 +2169,7 @@ void AccountingServer::record_completed_(DedupTable& table, DedupKey key,
                                          util::TimePoint expires_at,
                                          util::TimePoint now) {
   if (table.size() >= config_.dedup_capacity) {
-    table.purge(now, [](const CompletedOp&) {});
+    table.purge(now);
     // Backstop when nothing has expired: evict the entry closest to
     // expiry (it is the one a retry is least likely to still need).
     if (table.size() >= config_.dedup_capacity) table.evict_earliest();

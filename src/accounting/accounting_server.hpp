@@ -33,6 +33,7 @@
 #include "net/rpc.hpp"
 #include "pki/pk_auth.hpp"
 #include "storage/log_dir.hpp"
+#include "util/expiring_table.hpp"
 
 namespace rproxy::accounting {
 
@@ -520,73 +521,10 @@ class AccountingServer final : public net::Node {
     util::Bytes reply_payload;
     util::TimePoint expires_at = 0;
   };
+  /// (principal, check number): the key of every table below that
+  /// remembers a check until it expires.
   using DedupKey = std::pair<PrincipalName, std::uint64_t>;
-  /// Entries keyed by (principal, check number) that die at their
-  /// `expires_at`, plus those keys in expiry order.  The order is derived
-  /// state: put() maintains it, so restore() rebuilds it.  It lets the
-  /// per-request purge and the capacity backstop touch only the entries
-  /// they remove.  Iteration is in key order, as the snapshot writes it.
-  template <typename Value>
-  class ExpiringTable {
-   public:
-    using const_iterator = typename std::map<DedupKey, Value>::const_iterator;
-    [[nodiscard]] const_iterator begin() const { return entries_.begin(); }
-    [[nodiscard]] const_iterator end() const { return entries_.end(); }
-    [[nodiscard]] const_iterator find(const DedupKey& key) const {
-      return entries_.find(key);
-    }
-    [[nodiscard]] bool contains(const DedupKey& key) const {
-      return entries_.contains(key);
-    }
-    [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-    /// Inserts or replaces the entry under `key`.
-    void put(const DedupKey& key, Value value) {
-      erase(key);
-      by_expiry_.emplace(value.expires_at, key);
-      entries_.emplace(key, std::move(value));
-    }
-    void erase(const DedupKey& key) {
-      const auto it = entries_.find(key);
-      if (it == entries_.end()) return;
-      by_expiry_.erase({it->second.expires_at, key});
-      entries_.erase(it);
-    }
-    /// Erases every entry `pred` holds for; walks the whole table.
-    template <typename Pred>
-    void erase_if(Pred pred) {
-      for (auto it = entries_.begin(); it != entries_.end();) {
-        if (pred(it->second)) {
-          by_expiry_.erase({it->second.expires_at, it->first});
-          it = entries_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    /// Erases every entry with expires_at < now, earliest first, each
-    /// after passing it to `on_expire`.
-    template <typename OnExpire>
-    void purge(util::TimePoint now, OnExpire on_expire) {
-      while (!by_expiry_.empty() && by_expiry_.begin()->first < now) {
-        const auto it = entries_.find(by_expiry_.begin()->second);
-        on_expire(it->second);
-        entries_.erase(it);
-        by_expiry_.erase(by_expiry_.begin());
-      }
-    }
-    /// Erases the entry that expires first (on a tie, the smallest key).
-    void evict_earliest() {
-      if (by_expiry_.empty()) return;
-      entries_.erase(by_expiry_.begin()->second);
-      by_expiry_.erase(by_expiry_.begin());
-    }
-
-   private:
-    std::map<DedupKey, Value> entries_;
-    std::set<std::pair<util::TimePoint, DedupKey>> by_expiry_;
-  };
-  using DedupTable = ExpiringTable<CompletedOp>;
+  using DedupTable = util::ExpiringTable<DedupKey, CompletedOp>;
 
   // The journal record payloads, one struct per JournalRecordType, are
   // defined in accounting_server.cpp, the only file that builds, applies
@@ -733,7 +671,7 @@ class AccountingServer final : public net::Node {
   std::map<std::string, Account> accounts_;
   std::map<PrincipalName, PrincipalName> routes_;
   /// Outstanding certified checks keyed by (payor, check number).
-  ExpiringTable<CertifiedHold> certified_;
+  util::ExpiringTable<DedupKey, CertifiedHold> certified_;
   /// Credits pending collection keyed by (drawee server, check number).
   std::map<std::pair<PrincipalName, std::uint64_t>, Uncollected>
       uncollected_;

@@ -8,29 +8,6 @@ namespace rproxy::accounting {
 
 using util::ErrorCode;
 
-namespace {
-struct EmptyPayload {
-  void encode(wire::Encoder&) const {}
-  static EmptyPayload decode(wire::Decoder&) { return {}; }
-};
-
-struct ChallengeReply {
-  std::uint64_t id = 0;
-  util::Bytes nonce;
-
-  void encode(wire::Encoder& enc) const {
-    enc.u64(id);
-    enc.bytes(nonce);
-  }
-  static ChallengeReply decode(wire::Decoder& dec) {
-    ChallengeReply c;
-    c.id = dec.u64();
-    c.nonce = dec.bytes();
-    return c;
-  }
-};
-}  // namespace
-
 AccountingClient::AccountingClient(net::SimNet& net, const util::Clock& clock,
                                    PrincipalName self,
                                    pki::IdentityCert identity_cert,
@@ -44,16 +21,9 @@ AccountingClient::AccountingClient(net::SimNet& net, const util::Clock& clock,
 util::Result<core::ChallengeRegistry::Challenge>
 AccountingClient::get_challenge_(const PrincipalName& server) {
   // Challenge fetches are pure reads — always safe to retry.
-  RPROXY_ASSIGN_OR_RETURN(
-      ChallengeReply reply,
-      (net::retry_call<ChallengeReply>(net_, retry_, self_, server,
-                                       net::MsgType::kPresentChallengeRequest,
-                                       net::MsgType::kPresentChallengeReply,
-                                       EmptyPayload{})));
-  core::ChallengeRegistry::Challenge c;
-  c.id = reply.id;
-  c.nonce = std::move(reply.nonce);
-  return c;
+  return net::retry_call<core::ChallengeRegistry::Challenge>(
+      net_, retry_, self_, server, net::MsgType::kPresentChallengeRequest,
+      net::MsgType::kPresentChallengeReply, core::ChallengeRequest{});
 }
 
 core::PossessionProof AccountingClient::prove_(
@@ -183,7 +153,7 @@ net::Envelope AccountingClient::challenge_request(
   e.from = self_;
   e.to = server;
   e.type = net::MsgType::kPresentChallengeRequest;
-  e.payload = wire::encode_to_bytes(EmptyPayload{});
+  e.payload = wire::encode_to_bytes(core::ChallengeRequest{});
   return e;
 }
 
@@ -191,13 +161,8 @@ util::Result<core::ChallengeRegistry::Challenge>
 AccountingClient::read_challenge_reply(const net::Envelope& reply) {
   RPROXY_RETURN_IF_ERROR(
       net::expect_type(reply, net::MsgType::kPresentChallengeReply));
-  RPROXY_ASSIGN_OR_RETURN(
-      ChallengeReply decoded,
-      wire::decode_from_bytes<ChallengeReply>(reply.payload));
-  core::ChallengeRegistry::Challenge c;
-  c.id = decoded.id;
-  c.nonce = std::move(decoded.nonce);
-  return c;
+  return wire::decode_from_bytes<core::ChallengeRegistry::Challenge>(
+      reply.payload);
 }
 
 util::Result<net::Envelope> AccountingClient::deposit_request(

@@ -101,21 +101,13 @@ void ProxyIssuer::record_issued_(const core::Proxy& proxy,
       core::revocation_id_of_root(proxy.chain);
   if (!id.has_value()) return;
   IssuedRecord record;
-  record.id = *id;
   record.delegates = std::move(delegates);
   record.expires_at =
       proxy.expires_at > 0 ? proxy.expires_at : fallback_expiry;
-  std::lock_guard lock(issued_mutex_);
-  // Amortized prune: expired grants need no revocation — their presentation
-  // already fails with kExpired — so the log stays proportional to LIVE
-  // grants, not to everything ever issued.
   const util::TimePoint now = config_.clock->now();
-  issued_.erase(std::remove_if(issued_.begin(), issued_.end(),
-                               [&](const IssuedRecord& r) {
-                                 return r.expires_at < now;
-                               }),
-                issued_.end());
-  issued_.push_back(std::move(record));
+  std::lock_guard lock(issued_mutex_);
+  issued_.purge(now);
+  issued_.put(*id, std::move(record));
 }
 
 std::size_t ProxyIssuer::revoke_issued_to(const PrincipalName& delegate,
@@ -126,18 +118,15 @@ std::size_t ProxyIssuer::revoke_issued_to(const PrincipalName& delegate,
   std::vector<core::RevocationId> to_revoke;
   {
     std::lock_guard lock(issued_mutex_);
-    auto it = issued_.begin();
-    while (it != issued_.end()) {
-      const bool names_delegate =
-          std::find(it->delegates.begin(), it->delegates.end(), delegate) !=
-          it->delegates.end();
-      if (names_delegate && it->expires_at >= now) {
-        to_revoke.push_back(it->id);
-        it = issued_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    issued_.erase_if([&](const core::RevocationId& id,
+                         const IssuedRecord& record) {
+      const bool live_for_delegate =
+          record.expires_at >= now &&
+          std::find(record.delegates.begin(), record.delegates.end(),
+                    delegate) != record.delegates.end();
+      if (live_for_delegate) to_revoke.push_back(id);
+      return live_for_delegate;
+    });
   }
   for (const core::RevocationId& id : to_revoke) {
     config_.revocation->revoke_cert(config_.self, id);

@@ -13,6 +13,7 @@
 
 #include "core/proxy.hpp"
 #include "core/revocation.hpp"
+#include "util/expiring_table.hpp"
 
 namespace rproxy::authz {
 
@@ -65,9 +66,9 @@ class ProxyIssuer {
                                util::TimePoint now);
 
  private:
-  /// One issued grant the issuer can later revoke.
+  /// One issued grant the issuer can later revoke, keyed by its root's
+  /// RevocationId (SHA-256 over the signed root, so unique per grant).
   struct IssuedRecord {
-    core::RevocationId id;
     std::vector<PrincipalName> delegates;  ///< named grantees, if any
     util::TimePoint expires_at = 0;
   };
@@ -89,9 +90,11 @@ class ProxyIssuer {
   std::optional<kdc::Credentials> tgt_;
   std::map<PrincipalName, kdc::Credentials> ticket_cache_;
   /// Guards issued_.  Separate from cache_mutex_ — revocation never touches
-  /// the ticket caches.
+  /// the ticket caches.  Expired grants need no revocation (their
+  /// presentation already fails with kExpired), so each issuance purges
+  /// them and the log stays proportional to LIVE grants.
   mutable std::mutex issued_mutex_;
-  std::vector<IssuedRecord> issued_;
+  util::ExpiringTable<core::RevocationId, IssuedRecord> issued_;
 };
 
 }  // namespace rproxy::authz

@@ -4,52 +4,36 @@
 
 namespace rproxy::core {
 
-void ChallengeRegistry::purge_locked_(util::TimePoint now) {
-  // Amortized cleanup, same idiom as ReplayCache: a full sweep at most
-  // once per second keeps abandoned challenges from accumulating without
-  // making every call O(outstanding) under the lock — a per-call sweep
-  // turns the hot challenge path quadratic when most challenges go
-  // unconsumed (e.g. scanners, retries, load tests).  Run from both
-  // issue() and take(): a server that stops issuing (quiet period, or a
-  // client population that only ever retries presentations) must still
-  // shed its abandoned challenges.
-  if (now - last_purge_ < util::kSecond) return;
-  for (auto it = challenges_.begin(); it != challenges_.end();) {
-    it = it->second.second < now ? challenges_.erase(it) : std::next(it);
-  }
-  last_purge_ = now;
-}
-
 ChallengeRegistry::Challenge ChallengeRegistry::issue(util::TimePoint now) {
   std::lock_guard lock(mutex_);
-  purge_locked_(now);
+  // Both issue() and take() purge, so a server that stops issuing (clients
+  // switched to timestamp mode, or only retrying) still sheds abandoned
+  // challenges.
+  challenges_.purge(now);
   Challenge c;
   c.id = crypto::random_u64();
   c.nonce = crypto::random_bytes(32);
-  challenges_[c.id] = {c.nonce, now + ttl_};
+  challenges_.put(c.id, Outstanding{c.nonce, now + ttl_});
   return c;
 }
 
 util::Result<util::Bytes> ChallengeRegistry::take(std::uint64_t id,
                                                   util::TimePoint now) {
   std::lock_guard lock(mutex_);
-  // Look up BEFORE sweeping so an expired-but-not-yet-purged challenge
+  // Look up BEFORE purging so an expired-but-not-yet-purged challenge
   // still reports kExpired rather than "unknown".
-  auto it = challenges_.find(id);
-  if (it == challenges_.end()) {
-    purge_locked_(now);
-    return util::fail(util::ErrorCode::kProtocolError,
-                      "unknown or already-used challenge");
+  util::Result<util::Bytes> taken = util::fail(
+      util::ErrorCode::kProtocolError, "unknown or already-used challenge");
+  if (auto it = challenges_.find(id); it != challenges_.end()) {
+    if (it->second.expires_at < now) {
+      taken = util::fail(util::ErrorCode::kExpired, "challenge expired");
+    } else {
+      taken = it->second.nonce;
+    }
+    challenges_.erase(id);
   }
-  if (it->second.second < now) {
-    challenges_.erase(it);
-    purge_locked_(now);
-    return util::fail(util::ErrorCode::kExpired, "challenge expired");
-  }
-  util::Bytes nonce = std::move(it->second.first);
-  challenges_.erase(it);
-  purge_locked_(now);
-  return nonce;
+  challenges_.purge(now);
+  return taken;
 }
 
 std::size_t ChallengeRegistry::outstanding() const {

@@ -5,24 +5,43 @@
 // Shared by end-servers and accounting servers.  Thread-safe.
 #pragma once
 
-#include <map>
 #include <mutex>
-#include <utility>
 
 #include "util/bytes.hpp"
 #include "util/clock.hpp"
+#include "util/expiring_table.hpp"
 #include "util/status.hpp"
+#include "wire/decoder.hpp"
+#include "wire/encoder.hpp"
 
 namespace rproxy::core {
+
+/// Payload of a kPresentChallengeRequest: empty.
+struct ChallengeRequest {
+  void encode(wire::Encoder&) const {}
+  static ChallengeRequest decode(wire::Decoder&) { return {}; }
+};
 
 class ChallengeRegistry {
  public:
   explicit ChallengeRegistry(util::Duration ttl = 2 * util::kMinute)
       : ttl_(ttl) {}
 
+  /// An issued challenge; also the kPresentChallengeReply payload.
   struct Challenge {
     std::uint64_t id = 0;
     util::Bytes nonce;
+
+    void encode(wire::Encoder& enc) const {
+      enc.u64(id);
+      enc.bytes(nonce);
+    }
+    static Challenge decode(wire::Decoder& dec) {
+      Challenge c;
+      c.id = dec.u64();
+      c.nonce = dec.bytes();
+      return c;
+    }
   };
 
   /// Issues a fresh challenge valid for the registry's TTL.
@@ -36,15 +55,14 @@ class ChallengeRegistry {
   [[nodiscard]] std::size_t outstanding() const;
 
  private:
-  /// Sweeps expired challenges, at most once per second.  Caller holds
-  /// mutex_.
-  void purge_locked_(util::TimePoint now);
+  struct Outstanding {
+    util::Bytes nonce;
+    util::TimePoint expires_at = 0;
+  };
 
   mutable std::mutex mutex_;
   util::Duration ttl_;
-  util::TimePoint last_purge_ = 0;
-  std::map<std::uint64_t, std::pair<util::Bytes, util::TimePoint>>
-      challenges_;
+  util::ExpiringTable<std::uint64_t, Outstanding> challenges_;
 };
 
 }  // namespace rproxy::core

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/accept_once_cache.hpp"
+#include "util/bytes.hpp"
 #include "util/clock.hpp"
 #include "util/names.hpp"
 

@@ -1,13 +1,23 @@
 // Replay cache.
 //
-// Authenticators must be single-use within their freshness window, and the
-// accounting server must remember check numbers "until the expiration time
-// on the check" (§4).  Both needs are served by this cache: it remembers a
-// digest of each item until a caller-supplied expiry and rejects repeats.
+// Authenticators and timestamp-mode proofs must be single-use within their
+// freshness window.  This cache remembers each item until a caller-supplied
+// expiry and rejects repeats.
+//
+// The key is (expires_at, SHA-256 of the item), held in one ordered set:
+// lookups are a find, and a purge erases from the front while the earliest
+// expiry has passed, touching only what it removes.  One node per entry
+// keeps the cache as small as a plain digest map (80 bytes per entry); a
+// second, expiry-ordered index (util::ExpiringTable) would double that.
+// Putting the expiry in the key is sound because every caller derives it,
+// by one rule per cache, from a timestamp the item itself authenticates:
+// the same bytes replayed hit the same key, and a copy with a shifted
+// timestamp misses it and then fails its proof check.
 #pragma once
 
-#include <map>
 #include <mutex>
+#include <set>
+#include <utility>
 
 #include "crypto/digest.hpp"
 #include "util/bytes.hpp"
@@ -18,17 +28,14 @@ namespace rproxy::kdc {
 
 class ReplayCache {
  public:
-  /// Rejects with kReplay if `item` was seen before (and its remembered
-  /// expiry has not passed); otherwise remembers it until `expires_at`.
-  /// Expired entries are purged opportunistically.
+  /// Rejects with kReplay if `item` was seen before with this `expires_at`
+  /// and that expiry has not passed; otherwise remembers it until
+  /// `expires_at`.  An entry is rejected through its expiry instant and
+  /// purged one tick after.  Precondition: `expires_at` is derived from a
+  /// timestamp that `item` authenticates (see the file comment).
   [[nodiscard]] util::Status check_and_insert(util::BytesView item,
                                               util::TimePoint expires_at,
                                               util::TimePoint now);
-
-  /// True if `item` is remembered at `now`.  Same boundary as
-  /// check_and_insert: an entry counts through its expiry instant, not one
-  /// tick after.  Inserts nothing.
-  [[nodiscard]] bool contains(util::BytesView item, util::TimePoint now) const;
 
   /// Drops entries whose expiry has passed.
   void purge(util::TimePoint now);
@@ -39,8 +46,7 @@ class ReplayCache {
   void purge_locked_(util::TimePoint now);
 
   mutable std::mutex mutex_;
-  std::map<crypto::Digest, util::TimePoint> seen_;
-  util::TimePoint last_purge_ = 0;
+  std::set<std::pair<util::TimePoint, crypto::Digest>> seen_;
 };
 
 }  // namespace rproxy::kdc

@@ -2,26 +2,18 @@
 
 namespace rproxy::server {
 
-namespace {
-/// Empty payload for challenge requests.
-struct EmptyPayload {
-  void encode(wire::Encoder&) const {}
-  static EmptyPayload decode(wire::Decoder&) { return {}; }
-};
-}  // namespace
-
-util::Result<ChallengePayload> AppClient::get_challenge(
+util::Result<core::ChallengeRegistry::Challenge> AppClient::get_challenge(
     const PrincipalName& end_server) {
-  return net::call<ChallengePayload>(
+  return net::call<core::ChallengeRegistry::Challenge>(
       net_, self_, end_server, net::MsgType::kPresentChallengeRequest,
-      net::MsgType::kPresentChallengeReply, EmptyPayload{});
+      net::MsgType::kPresentChallengeReply, core::ChallengeRequest{});
 }
 
 util::Result<util::Bytes> AppClient::invoke(
     const PrincipalName& end_server, const Operation& operation,
     const ObjectName& object, std::map<std::string, std::uint64_t> amounts,
     util::Bytes args, const ProofBuilder& proofs) {
-  RPROXY_ASSIGN_OR_RETURN(ChallengePayload challenge,
+  RPROXY_ASSIGN_OR_RETURN(core::ChallengeRegistry::Challenge challenge,
                           get_challenge(end_server));
 
   AppRequestPayload req;

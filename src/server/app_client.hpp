@@ -16,8 +16,8 @@ class AppClient {
       : net_(net), clock_(clock), self_(std::move(self)) {}
 
   /// Fetches a fresh challenge from `end_server`.
-  [[nodiscard]] util::Result<ChallengePayload> get_challenge(
-      const PrincipalName& end_server);
+  [[nodiscard]] util::Result<core::ChallengeRegistry::Challenge>
+  get_challenge(const PrincipalName& end_server);
 
   /// How the caller supplies proofs: invoked once the challenge and request
   /// digest are known; fills the credential/group/identity fields.

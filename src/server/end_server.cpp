@@ -10,18 +10,6 @@ namespace rproxy::server {
 
 using util::ErrorCode;
 
-void ChallengePayload::encode(wire::Encoder& enc) const {
-  enc.u64(id);
-  enc.bytes(nonce);
-}
-
-ChallengePayload ChallengePayload::decode(wire::Decoder& dec) {
-  ChallengePayload p;
-  p.id = dec.u64();
-  p.nonce = dec.bytes();
-  return p;
-}
-
 void AppRequestPayload::encode(wire::Encoder& enc) const {
   enc.str(operation);
   enc.str(object);
@@ -114,13 +102,8 @@ net::Envelope EndServer::handle(const net::Envelope& request) {
 }
 
 net::Envelope EndServer::handle_challenge_(const net::Envelope& request) {
-  const core::ChallengeRegistry::Challenge issued =
-      challenges_.issue(config_.clock->now());
-  ChallengePayload challenge;
-  challenge.id = issued.id;
-  challenge.nonce = issued.nonce;
   return net::make_reply(request, net::MsgType::kPresentChallengeReply,
-                         challenge);
+                         challenges_.issue(config_.clock->now()));
 }
 
 net::Envelope EndServer::handle_app_(const net::Envelope& request) {
@@ -139,7 +122,10 @@ util::Result<AppReplyPayload> EndServer::process_(
   //  * challenge mode — the proof binds a single-use nonce we issued;
   //  * timestamp mode (challenge_id == 0) — no extra round trip; proofs
   //    must be fresh (verify_possession enforces max_skew) and are
-  //    remembered in the replay cache until they age out.
+  //    remembered in the replay cache until they age out.  The cache's
+  //    expiry comes from proof.timestamp, which the blob's MAC or
+  //    signature covers: a copy with a shifted timestamp misses the
+  //    cache and then fails verification.
   util::Bytes challenge;
   if (req.challenge_id != 0) {
     RPROXY_ASSIGN_OR_RETURN(challenge,

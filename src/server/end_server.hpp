@@ -18,15 +18,6 @@
 
 namespace rproxy::server {
 
-/// Challenge reply payload.
-struct ChallengePayload {
-  std::uint64_t id = 0;
-  util::Bytes nonce;
-
-  void encode(wire::Encoder& enc) const;
-  static ChallengePayload decode(wire::Decoder& dec);
-};
-
 /// Application request payload.
 struct AppRequestPayload {
   Operation operation;

@@ -309,6 +309,38 @@ TEST_F(RecoveryTest, RepeatedRestartsAreIdempotent) {
   }
 }
 
+TEST_F(RecoveryTest, RecoveredBankRefusesToCertifyASettledCheckNumber) {
+  // §4: a bank remembers a check number until the check expires.  Its
+  // accept-once cache is in memory and starts empty after a restart, so
+  // the journaled dedup table must carry that memory; otherwise a spent
+  // number gets a fresh hold that locks the payor's funds until it expires.
+  auto bank = make_bank(dir_.sub("bank"));
+  bank->open_account("payer-acct", "alice",
+                     accounting::Balances{{"usd", 100}});
+  bank->open_account("payee-acct", "bob");
+  auto alice = world_.accounting_client("alice");
+  auto bob = world_.accounting_client("bob");
+  ASSERT_TRUE(
+      bob.endorse_and_deposit("bank", alice_check(30, 41), "payee-acct")
+          .is_ok());
+  EXPECT_EQ(
+      alice.certify("bank", "payer-acct", "bob", "usd", 10, 41, "bank")
+          .code(),
+      util::ErrorCode::kReplay);
+
+  bank = make_bank(dir_.sub("bank"));
+  EXPECT_EQ(
+      alice.certify("bank", "payer-acct", "bob", "usd", 10, 41, "bank")
+          .code(),
+      util::ErrorCode::kReplay);
+  EXPECT_EQ(bank->account("payer-acct")->held("usd"), 0);
+  // An unspent number still certifies.
+  ASSERT_TRUE(
+      alice.certify("bank", "payer-acct", "bob", "usd", 10, 42, "bank")
+          .is_ok());
+  EXPECT_EQ(bank->account("payer-acct")->held("usd"), 10);
+}
+
 TEST_F(RecoveryTest, ForeignCollectionCrashThenRetryConvergesExactlyOnce) {
   world_.add_principal("bank-a");
   world_.add_principal("bank-b");

@@ -26,11 +26,6 @@ namespace {
 
 using testing::World;
 
-struct Empty {
-  void encode(wire::Encoder&) const {}
-  static Empty decode(wire::Decoder&) { return {}; }
-};
-
 constexpr int kClients = 8;
 constexpr int kTransfersPerClient = 25;
 constexpr std::uint64_t kInitialBalance = 1'000;
@@ -108,10 +103,11 @@ class ConcurrentDispatch : public ::testing::TestWithParam<const char*> {
   util::Status transfer_one(int who) {
     const std::string name = client_name(who);
     RPROXY_ASSIGN_OR_RETURN(
-        server::ChallengePayload challenge,
-        (call<server::ChallengePayload>(
+        core::ChallengeRegistry::Challenge challenge,
+        (call<core::ChallengeRegistry::Challenge>(
             name, "bank", net::MsgType::kPresentChallengeRequest,
-            net::MsgType::kPresentChallengeReply, Empty{})));
+            net::MsgType::kPresentChallengeReply,
+            core::ChallengeRequest{})));
 
     accounting::TransferPayload req;
     req.challenge_id = challenge.id;
@@ -181,9 +177,9 @@ TEST_P(ConcurrentDispatch, ChallengeReplayHasSingleWinner) {
       "client-0", world_.principal("client-0").identity, "file-server",
       {core::ObjectRights{"/doc", {"read"}}}, world_.clock.now(),
       util::kHour);
-  auto challenge = call<server::ChallengePayload>(
+  auto challenge = call<core::ChallengeRegistry::Challenge>(
       "client-0", "file-server", net::MsgType::kPresentChallengeRequest,
-      net::MsgType::kPresentChallengeReply, Empty{});
+      net::MsgType::kPresentChallengeReply, core::ChallengeRequest{});
   ASSERT_TRUE(challenge.is_ok()) << challenge.status();
 
   server::AppRequestPayload req;
@@ -233,9 +229,9 @@ TEST_P(ConcurrentDispatch, ConcurrentCertifySameCheckNumberSingleWinner) {
   threads.reserve(kRacers);
   for (int i = 0; i < kRacers; ++i) {
     threads.emplace_back([this, &successes] {
-      auto challenge = call<server::ChallengePayload>(
+      auto challenge = call<core::ChallengeRegistry::Challenge>(
           "client-0", "bank", net::MsgType::kPresentChallengeRequest,
-          net::MsgType::kPresentChallengeReply, Empty{});
+          net::MsgType::kPresentChallengeReply, core::ChallengeRequest{});
       if (!challenge.is_ok()) return;
 
       accounting::CertifyPayload req;
@@ -292,9 +288,9 @@ TEST_P(ConcurrentDispatch, MixedNodesServeConcurrently) {
           name, world_.principal(name).identity, "file-server",
           {core::ObjectRights{"/doc", {"read"}}}, world_.clock.now(),
           util::kHour);
-      auto challenge = call<server::ChallengePayload>(
+      auto challenge = call<core::ChallengeRegistry::Challenge>(
           name, "file-server", net::MsgType::kPresentChallengeRequest,
-          net::MsgType::kPresentChallengeReply, Empty{});
+          net::MsgType::kPresentChallengeReply, core::ChallengeRequest{});
       if (!challenge.is_ok()) {
         failures.fetch_add(1);
         return;

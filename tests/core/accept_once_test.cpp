@@ -55,5 +55,38 @@ TEST(AcceptOnceCache, SeenThroughExpiryInstantOnly) {
   EXPECT_FALSE(cache.seen("alice", 7, 10 * kSecond + 1));
 }
 
+TEST(AcceptOnceCache, OnlyTheNewEntryRemainsAfterEveryOldOneExpires) {
+  // check_and_insert purges before it inserts, so one call after every
+  // remembered identifier expired leaves only its own entry behind.
+  AcceptOnceCache cache;
+  for (std::uint64_t id = 0; id < 100; ++id) {
+    ASSERT_TRUE(cache
+                    .check_and_insert(id % 2 == 0 ? "alice" : "bob", id,
+                                      static_cast<util::TimePoint>(
+                                          (1 + id % 7) * kSecond),
+                                      0)
+                    .is_ok());
+  }
+  ASSERT_EQ(cache.size(), 100u);
+  ASSERT_TRUE(
+      cache.check_and_insert("carol", 1, 100 * kSecond, 8 * kSecond).is_ok());
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(AcceptOnceCache, SameIdentifierWithALaterExpiryIsStillRejected) {
+  // §7.7 rejects a different proxy from the same grantor with the same
+  // identifier, whatever expiry that proxy carries.
+  AcceptOnceCache cache;
+  ASSERT_TRUE(cache.check_and_insert("alice", 7, 10 * kSecond, 0).is_ok());
+  EXPECT_EQ(cache.check_and_insert("alice", 7, 500 * kSecond, kSecond).code(),
+            util::ErrorCode::kReplay);
+  EXPECT_EQ(cache.check_and_insert("alice", 7, 10 * kSecond, 10 * kSecond)
+                .code(),
+            util::ErrorCode::kReplay);
+  EXPECT_TRUE(
+      cache.check_and_insert("alice", 7, 500 * kSecond, 10 * kSecond + 1)
+          .is_ok());
+}
+
 }  // namespace
 }  // namespace rproxy::core

@@ -207,6 +207,32 @@ TEST_F(TimestampModeTest, ReplayOfTimestampProofRejected) {
             util::ErrorCode::kReplay);
 }
 
+TEST_F(TimestampModeTest, CopyWithShiftedTimestampIsRefused) {
+  // The replay cache keys a proof on (expiry derived from its timestamp,
+  // digest of its blob).  A captured request whose proof timestamp moved
+  // by a second (still fresh) misses that key, so the proof check must
+  // refuse it: the blob's signature covers the timestamp.
+  server::AppClient bob(world_.net, world_.clock, "bob");
+  net::RecordingTap tap;
+  world_.net.add_tap(tap);
+  ASSERT_TRUE(bob.invoke_with_proxy_timestamp("file-server", cap_, "read",
+                                              "/doc")
+                  .is_ok());
+  net::Envelope copy = tap.of_type(net::MsgType::kAppRequest).front();
+  auto req = wire::decode_from_bytes<server::AppRequestPayload>(copy.payload);
+  ASSERT_TRUE(req.is_ok());
+  ASSERT_EQ(req.value().credentials.size(), 1u);
+  req.value().credentials[0].proof.timestamp += util::kSecond;
+  copy.payload = wire::encode_to_bytes(req.value());
+
+  auto replayed = world_.net.inject(copy);
+  ASSERT_TRUE(replayed.is_ok());
+  const util::ErrorCode code = net::status_of(replayed.value()).code();
+  EXPECT_TRUE(code == util::ErrorCode::kReplay ||
+              code == util::ErrorCode::kBadSignature)
+      << "reply code " << static_cast<int>(code);
+}
+
 TEST_F(TimestampModeTest, StaleTimestampProofRejected) {
   // Build a proof now, deliver it much later.
   server::AppRequestPayload req;

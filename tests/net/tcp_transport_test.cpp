@@ -95,13 +95,9 @@ TEST_F(TcpWorld, FullProxyPresentationOverTcp) {
       util::kHour);
 
   // Challenge.
-  struct Empty {
-    void encode(wire::Encoder&) const {}
-    static Empty decode(wire::Decoder&) { return {}; }
-  };
-  auto challenge = call<server::ChallengePayload>(
+  auto challenge = call<core::ChallengeRegistry::Challenge>(
       "bob", "file-server", net::MsgType::kPresentChallengeRequest,
-      net::MsgType::kPresentChallengeReply, Empty{});
+      net::MsgType::kPresentChallengeReply, core::ChallengeRequest{});
   ASSERT_TRUE(challenge.is_ok()) << challenge.status();
 
   // Presentation.
@@ -170,14 +166,10 @@ TEST_F(TcpWorld, ConnectionRefusedSurfacesCleanly) {
 }
 
 TEST_F(TcpWorld, ManySequentialRequests) {
-  struct Empty {
-    void encode(wire::Encoder&) const {}
-    static Empty decode(wire::Decoder&) { return {}; }
-  };
   for (int i = 0; i < 50; ++i) {
-    auto challenge = call<server::ChallengePayload>(
+    auto challenge = call<core::ChallengeRegistry::Challenge>(
         "bob", "file-server", net::MsgType::kPresentChallengeRequest,
-        net::MsgType::kPresentChallengeReply, Empty{});
+        net::MsgType::kPresentChallengeReply, core::ChallengeRequest{});
     ASSERT_TRUE(challenge.is_ok());
   }
   EXPECT_GE(tcp_.requests_served(), 50u);

@@ -13,27 +13,6 @@ namespace {
 
 using testing::World;
 
-struct EmptyPayload {
-  void encode(wire::Encoder&) const {}
-  static EmptyPayload decode(wire::Decoder&) { return {}; }
-};
-
-struct ChallengeReply {
-  std::uint64_t id = 0;
-  util::Bytes nonce;
-
-  void encode(wire::Encoder& enc) const {
-    enc.u64(id);
-    enc.bytes(nonce);
-  }
-  static ChallengeReply decode(wire::Decoder& dec) {
-    ChallengeReply c;
-    c.id = dec.u64();
-    c.nonce = dec.bytes();
-    return c;
-  }
-};
-
 /// Builds the exact kCheckDeposit envelope AccountingClient would send —
 /// fresh challenge, possession proof bound to it — so the test controls
 /// redelivery at the byte level.
@@ -42,10 +21,10 @@ net::Envelope build_deposit_envelope(World& world,
                                      const PrincipalName& depositor,
                                      const accounting::Check& endorsed,
                                      const std::string& collect_account) {
-  auto challenge = net::call<ChallengeReply>(
+  auto challenge = net::call<core::ChallengeRegistry::Challenge>(
       world.net, depositor, bank.name(),
       net::MsgType::kPresentChallengeRequest,
-      net::MsgType::kPresentChallengeReply, EmptyPayload{});
+      net::MsgType::kPresentChallengeReply, core::ChallengeRequest{});
   EXPECT_TRUE(challenge.is_ok()) << challenge.status();
 
   accounting::DepositPayload req;

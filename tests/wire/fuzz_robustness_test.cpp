@@ -65,6 +65,15 @@ TEST_P(FuzzTest, AllDecodersSurviveRandomBytes) {
   expect_no_crash_on_random<accounting::sharding::ShardMap>(rng, 50);
   expect_no_crash_on_random<accounting::MigrationSpec>(rng, 50);
   expect_no_crash_on_random<core::RevocationRegistry::Event>(rng, 50);
+  expect_no_crash_on_random<core::KrbDelegateProofBlob>(rng, 50);
+  expect_no_crash_on_random<core::ChallengeRegistry::Challenge>(rng, 50);
+  expect_no_crash_on_random<server::AuditRecord>(rng, 50);
+  expect_no_crash_on_random<accounting::TransferPayload>(rng, 50);
+  expect_no_crash_on_random<accounting::AccountQueryPayload>(rng, 50);
+  expect_no_crash_on_random<accounting::CashierPayload>(rng, 50);
+  expect_no_crash_on_random<accounting::replication::ShipReply>(rng, 50);
+  expect_no_crash_on_random<accounting::replication::BootstrapReply>(rng,
+                                                                     50);
   // The revocation state a snapshot carries is merged, not decoded.
   for (int i = 0; i < 50; ++i) {
     core::RevocationRegistry registry;
