@@ -2,13 +2,13 @@
 //
 // Two claims under measurement, one per tentpole half:
 //
-//   1. Transport: with PIPELINED persistent connections the epoll
-//      EventLoopServer outruns the thread-pool TcpServer on slow-handler
-//      workloads, because the pool dedicates one blocking worker per
-//      connection (one request in flight per client, period) while the
-//      loop keeps `depth` requests per connection in its handler pool.
-//      Sequential (depth 1) rounds should tie — the reactor must not tax
-//      the simple case.
+//   1. Transport: the EventLoopServer's cost per request, sequential
+//      (depth 1) and pipelined (depth 8) on persistent connections.  The
+//      echo handler cannot block, so a reactor runs it inline; the slow
+//      handler stands in for one that waits downstream and runs on the
+//      pool, where `depth` requests per connection overlap.  Every row
+//      gets a server of its own (Setup/Teardown), so no row inherits
+//      another's connections or parked threads.
 //
 //   2. Durability: FsyncPolicy::kGroup recovers most of the every-record
 //      fsync tax once writers are concurrent — N parked committers share
@@ -17,9 +17,9 @@
 //      fsync covering its record (the recovery tests prove the ordering;
 //      this file prices it).
 //
-// Compare items_per_second across /threads:N and between Pool/Loop and
-// every_record/group rows.  avg_group on the group rows shows how many
-// records one fsync amortized.
+// Compare items_per_second across /threads:N and between every_record and
+// group rows.  avg_group on the group rows shows how many records one
+// fsync amortized.
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -40,10 +40,11 @@ namespace {
 using namespace rproxy;
 
 // ---------------------------------------------------------------------------
-// Transport: pool vs loop, sequential vs pipelined.
+// Transport: sequential vs pipelined, inline vs pooled handlers.
 
 /// Stands in for a handler blocked on downstream I/O (peer-bank
-/// collection, KDC exchange): holds no locks, just waits.
+/// collection, KDC exchange): holds no locks, just waits.  It keeps the
+/// default may_block, so it runs on the pool.
 struct SlowNode : net::Node {
   net::Envelope handle(const net::Envelope& request) override {
     std::this_thread::sleep_for(std::chrono::microseconds(500));
@@ -53,45 +54,46 @@ struct SlowNode : net::Node {
   }
 };
 
-/// Cheapest possible handler: echo.  Isolates pure transport overhead.
+/// Cheapest possible handler: echo.  Isolates pure transport overhead;
+/// it cannot block, so the reactor that reads a request runs it.
 struct EchoNode : net::Node {
   net::Envelope handle(const net::Envelope& request) override {
     net::Envelope reply = request;
     reply.type = net::MsgType::kAppReply;
     return reply;
   }
-};
-
-/// Both transports over the same nodes; each bench row picks its port.
-/// Leaked singleton: every benchmark thread shares the live servers.
-struct TransportWorld {
-  SlowNode slow;
-  EchoNode echo;
-  net::TcpServer pool;
-  net::EventLoopServer loop;
-
-  TransportWorld()
-      : loop(net::EventLoopServer::Options{
-            .workers = 16, .idle_timeout = 0, .max_pipeline = 128}) {
-    pool.attach("slow", slow);
-    pool.attach("echo", echo);
-    loop.attach("slow", slow);
-    loop.attach("echo", echo);
-    if (!pool.start().is_ok() || !loop.start().is_ok()) std::abort();
+  [[nodiscard]] bool may_block(net::MsgType /*type*/) const override {
+    return false;
   }
 };
 
-TransportWorld& transport_world() {
-  static TransportWorld* w = new TransportWorld();
-  return *w;
+/// The server of the row being run.
+struct TransportWorld {
+  SlowNode slow;
+  EchoNode echo;
+  net::EventLoopServer loop{net::EventLoopServer::Options{
+      .workers = 16, .idle_timeout = 0, .max_pipeline = 128}};
+};
+std::unique_ptr<TransportWorld> transport_world;
+
+/// Setup/Teardown run once per row run, around all of its threads.
+void start_transport(const benchmark::State& /*state*/) {
+  transport_world = std::make_unique<TransportWorld>();
+  transport_world->loop.attach("slow", transport_world->slow);
+  transport_world->loop.attach("echo", transport_world->echo);
+  if (!transport_world->loop.start().is_ok()) std::abort();
+}
+void stop_transport(const benchmark::State& /*state*/) {
+  transport_world.reset();
 }
 
-/// One client thread against `port`: bursts of `depth` pipelined requests
-/// per round on a persistent connection (depth 1 = plain sequential rpc).
-void run_transport_rows(benchmark::State& state, std::uint16_t port,
-                        const char* node, std::int64_t depth) {
+/// One client thread: bursts of `depth` pipelined requests per round on a
+/// persistent connection (depth 1 = plain sequential rpc).
+void run_transport_rows(benchmark::State& state, const char* node) {
+  const std::int64_t depth = state.range(0);
   net::TcpClient client;
-  const util::Status connected = client.connect("127.0.0.1", port);
+  const util::Status connected =
+      client.connect("127.0.0.1", transport_world->loop.port());
   if (!connected.is_ok()) {
     state.SkipWithError(connected.to_string().c_str());
     return;
@@ -118,34 +120,13 @@ void run_transport_rows(benchmark::State& state, std::uint16_t port,
   state.SetLabel("depth=" + std::to_string(depth));
 }
 
-void BM_PoolSlowHandler(benchmark::State& state) {
-  run_transport_rows(state, transport_world().pool.port(), "slow",
-                     state.range(0));
-}
 void BM_LoopSlowHandler(benchmark::State& state) {
-  run_transport_rows(state, transport_world().loop.port(), "slow",
-                     state.range(0));
+  run_transport_rows(state, "slow");
 }
-void BM_PoolEcho(benchmark::State& state) {
-  run_transport_rows(state, transport_world().pool.port(), "echo",
-                     state.range(0));
-}
-void BM_LoopEcho(benchmark::State& state) {
-  run_transport_rows(state, transport_world().loop.port(), "echo",
-                     state.range(0));
-}
+void BM_LoopEcho(benchmark::State& state) { run_transport_rows(state, "echo"); }
 
-// Slow handler: the dispatch-concurrency case the reactor exists for.
-// Acceptance: at /threads:8, Loop depth-8 >= Pool depth-8 (the pool can
-// hold only one request per connection in flight; the loop holds eight).
-BENCHMARK(BM_PoolSlowHandler)
-    ->ArgName("depth")
-    ->Arg(1)
-    ->Arg(8)
-    ->Threads(1)
-    ->Threads(8)
-    ->Threads(16)
-    ->UseRealTime();
+// Slow handler: the dispatch-concurrency case the pool exists for; the
+// loop holds `depth` requests per connection in flight.
 BENCHMARK(BM_LoopSlowHandler)
     ->ArgName("depth")
     ->Arg(1)
@@ -153,21 +134,18 @@ BENCHMARK(BM_LoopSlowHandler)
     ->Threads(1)
     ->Threads(8)
     ->Threads(16)
+    ->Setup(start_transport)
+    ->Teardown(stop_transport)
     ->UseRealTime();
-// Echo: pure transport overhead; the reactor must not tax the cheap case.
-BENCHMARK(BM_PoolEcho)
-    ->ArgName("depth")
-    ->Arg(1)
-    ->Arg(8)
-    ->Threads(1)
-    ->Threads(8)
-    ->UseRealTime();
+// Echo: pure transport overhead, run inline on the reactors.
 BENCHMARK(BM_LoopEcho)
     ->ArgName("depth")
     ->Arg(1)
     ->Arg(8)
     ->Threads(1)
     ->Threads(8)
+    ->Setup(start_transport)
+    ->Teardown(stop_transport)
     ->UseRealTime();
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 // aggregate transfer throughput near-linearly in N, because each shard
 // owns an independent commit pipe.  On this box that claim cannot be
 // measured with real fsyncs alone — one CPU core and one disk serialize
-// everything — so, as in T6/T11, the headline rows model the per-shard
+// everything — so, as in T11, the headline rows model the per-shard
 // commit cost explicitly: every transfer occupies its home shard's commit
 // pipe (a per-shard mutex) for kModeledCommitUs of wall time, sleeps
 // overlap across shards, and CPU cost stays real (full challenge +
@@ -45,6 +45,7 @@
 #include "accounting/check.hpp"
 #include "accounting/sharding/shard_router.hpp"
 #include "bench_util.hpp"
+#include "net/event_loop.hpp"
 #include "net/fanout.hpp"
 #include "net/tcp_transport.hpp"
 #include "storage/journal.hpp"
@@ -309,14 +310,18 @@ struct BusyNode : net::Node {
   }
 };
 
+/// One server per shard.  BusyNode keeps the default may_block, so each
+/// server runs it on its pool; one worker covers the one request per
+/// round that a shard sees.
 struct FanoutWorld {
   static constexpr int kShards = 4;
   BusyNode node;
-  std::vector<std::unique_ptr<net::TcpServer>> servers;
+  std::vector<std::unique_ptr<net::EventLoopServer>> servers;
 
   FanoutWorld() {
     for (int i = 0; i < kShards; ++i) {
-      servers.push_back(std::make_unique<net::TcpServer>());
+      servers.push_back(std::make_unique<net::EventLoopServer>(
+          net::EventLoopServer::Options{.workers = 1}));
       servers.back()->attach(shard_name(i), node);
       if (!servers.back()->start().is_ok()) std::abort();
     }

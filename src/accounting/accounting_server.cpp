@@ -1555,17 +1555,22 @@ net::Envelope AccountingServer::handle(const net::Envelope& request) {
                             "accounting server '" + config_.name +
                                 "' is down (group fsync failed)"));
   }
-  // Semi-synchronous replication barrier (DESIGN.md §5h): a non-error
-  // reply leaves only after every standby acknowledged the records it may
-  // have seen, so the set of acked operations is always a subset of what a
-  // promoted standby holds.  Error replies skip the wait — refusals carry
-  // no state a failover could lose.
+  // Semi-synchronous replication barrier (DESIGN.md §5h): a reply that
+  // may show ledger state leaves only after every standby acknowledged the
+  // records it may have seen, so the set of acked operations is always a
+  // subset of what a promoted standby holds.  Error replies skip the wait
+  // — refusals carry no state a failover could lose — and so do challenge
+  // replies, which carry a nonce and nothing of the ledger.
+  if (reply.type == net::MsgType::kError ||
+      reply.type == net::MsgType::kPresentChallengeReply) {
+    return reply;
+  }
   std::shared_ptr<const std::function<util::Status(std::uint64_t)>> barrier;
   {
     std::lock_guard lock(barrier_mutex_);
     barrier = barrier_;
   }
-  if (barrier && *barrier && reply.type != net::MsgType::kError) {
+  if (barrier && *barrier) {
     const util::Status shipped = replication_barrier_(*barrier);
     if (!shipped.is_ok()) {
       // Withhold the reply: the operation may be applied locally, but it
@@ -1584,6 +1589,24 @@ net::Envelope AccountingServer::handle(const net::Envelope& request) {
     }
   }
   return reply;
+}
+
+bool AccountingServer::may_block(net::MsgType type) const {
+  switch (type) {
+    case net::MsgType::kPresentChallengeRequest:
+      return false;
+    case net::MsgType::kAccountQuery: {
+      // set_replication_barrier (and a failover's re-arm) can arm the
+      // barrier at any time.  A query judged here just before that runs
+      // inline and blocks its reactor for one barrier wait: slower, still
+      // correct, since handle() itself re-reads the barrier and the ship
+      // goes over the shipper's own net, never this reactor.
+      std::lock_guard lock(barrier_mutex_);
+      return barrier_ != nullptr && *barrier_;
+    }
+    default:
+      return true;
+  }
 }
 
 util::Status AccountingServer::replication_barrier_(

@@ -500,6 +500,12 @@ class AccountingServer final : public net::Node {
 
   net::Envelope handle(const net::Envelope& request) override;
 
+  /// A challenge never blocks: it journals nothing and its reply skips
+  /// the replication barrier.  A balance query journals nothing either,
+  /// but waits on the barrier while one is armed.  Everything else may
+  /// commit, ship or call a peer bank.
+  [[nodiscard]] bool may_block(net::MsgType type) const override;
+
   [[nodiscard]] const PrincipalName& name() const { return config_.name; }
 
  private:

@@ -33,6 +33,11 @@ void set_nodelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+void wake(int event_fd) {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(event_fd, &one, sizeof(one));
+}
+
 /// Encodes `reply` as one wire frame (length prefix + envelope), ready to
 /// append to a connection's write buffer.
 util::Bytes encode_reply_frame(const Envelope& reply) {
@@ -47,6 +52,16 @@ util::Bytes encode_reply_frame(const Envelope& reply) {
   frame[3] = static_cast<std::uint8_t>(len);
   if (!body.empty()) std::memcpy(frame.data() + 4, body.data(), body.size());
   return frame;
+}
+
+/// Runs `node`'s handler and encodes its reply frame.  Concurrent
+/// dispatch: handlers lock their own state (DESIGN.md "Concurrency
+/// model").
+util::Bytes serve(Node& node, const Envelope& request) {
+  Envelope reply = node.handle(request);
+  reply.from = request.to;
+  reply.to = request.from;
+  return encode_reply_frame(reply);
 }
 
 }  // namespace
@@ -83,25 +98,33 @@ util::Status EventLoopServer::start() {
     return util::fail(ErrorCode::kInternal, "listen() failed");
   }
 
-  epoll_fd_ = ::epoll_create1(0);
-  if (epoll_fd_ < 0) {
-    return util::fail(ErrorCode::kInternal, "epoll_create1() failed");
+  const std::size_t n = std::max<std::size_t>(1, options_.workers);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto r = std::make_unique<Reactor>();
+    r->epoll_fd = ::epoll_create1(0);
+    r->wake_fd = ::eventfd(0, EFD_NONBLOCK);
+    if (r->epoll_fd < 0 || r->wake_fd < 0) {
+      return util::fail(ErrorCode::kInternal, "epoll/eventfd setup failed");
+    }
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.fd = r->wake_fd;
+    ::epoll_ctl(r->epoll_fd, EPOLL_CTL_ADD, r->wake_fd, &ev);
+    if (i == 0) {
+      // Only the first reactor accepts; it deals connections to all.
+      ev.data.fd = listen_fd_;
+      ::epoll_ctl(r->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
+    }
+    reactors_.push_back(std::move(r));
   }
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (wake_fd_ < 0) {
-    return util::fail(ErrorCode::kInternal, "eventfd() failed");
-  }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = wake_fd_;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
   running_.store(true);
   stopping_ = false;
-  reactor_ = std::thread([this] { reactor_loop_(); });
-  const std::size_t n = options_.workers == 0 ? 1 : options_.workers;
+  for (const auto& r : reactors_) {
+    r->thread = std::thread([this, reactor = r.get()] {
+      reactor_loop_(*reactor);
+    });
+  }
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     workers_.emplace_back([this] { worker_loop_(); });
@@ -111,29 +134,52 @@ util::Status EventLoopServer::start() {
 
 void EventLoopServer::stop() {
   if (!running_.exchange(false)) return;
-  // Kick the reactor out of epoll_wait; it closes every connection on the
-  // way out (it owns them).
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  if (reactor_.joinable()) reactor_.join();
+  // Kick every reactor out of epoll_wait, then join them all before
+  // touching their state: the listening reactor may still deal a
+  // connection into another's inbox on its way out.
+  for (const auto& r : reactors_) wake(r->wake_fd);
+  for (const auto& r : reactors_) {
+    if (r->thread.joinable()) r->thread.join();
+  }
   {
     std::lock_guard lock(tasks_mutex_);
     stopping_ = true;
   }
   tasks_cv_.notify_all();
+  // Workers finish the queued tasks; their completions land in inboxes
+  // nobody drains, which is fine (the eventfds stay open until here).
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-  ::close(wake_fd_);
-  ::close(epoll_fd_);
+  for (const auto& r : reactors_) {
+    for (const auto& [fd, conn] : r->conns) ::close(fd);
+    for (const int fd : r->inbox.accepted) ::close(fd);
+    ::close(r->wake_fd);
+    ::close(r->epoll_fd);
+  }
+  reactors_.clear();
+  active_.store(0);
   ::close(listen_fd_);
-  wake_fd_ = epoll_fd_ = listen_fd_ = -1;
+  listen_fd_ = -1;
 }
 
-void EventLoopServer::reactor_loop_() {
+template <typename Push>
+void EventLoopServer::post_(Reactor& r, Push&& push) {
+  bool first = false;
+  {
+    std::lock_guard lock(r.inbox_mutex);
+    first = r.inbox.empty();
+    push(r.inbox);
+  }
+  // One eventfd write per burst: a push that finds the inbox non-empty
+  // rides the wake of the one that made it non-empty.
+  if (first) wake(r.wake_fd);
+}
+
+void EventLoopServer::reactor_loop_(Reactor& r) {
   // The idle scan needs a tick even when no socket stirs; otherwise we
-  // sleep until woken (stop() and workers both use the eventfd).
+  // sleep until woken (stop() and inbox pushes both use the eventfd).
   const int timeout_ms =
       options_.idle_timeout > 0
           ? static_cast<int>(
@@ -141,7 +187,7 @@ void EventLoopServer::reactor_loop_() {
           : -1;
   epoll_event events[64];
   while (running_.load()) {
-    const int ready = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
+    const int ready = ::epoll_wait(r.epoll_fd, events, 64, timeout_ms);
     if (!running_.load()) break;
     if (ready < 0) {
       if (errno == EINTR) continue;
@@ -150,61 +196,67 @@ void EventLoopServer::reactor_loop_() {
     for (int i = 0; i < ready; ++i) {
       const int fd = events[i].data.fd;
       if (fd == listen_fd_) {
-        accept_new_();
+        accept_new_(r);
         continue;
       }
-      if (fd == wake_fd_) {
+      if (fd == r.wake_fd) {
         std::uint64_t drain = 0;
-        [[maybe_unused]] ssize_t n = ::read(wake_fd_, &drain, sizeof(drain));
-        drain_completions_();
+        [[maybe_unused]] ssize_t n = ::read(r.wake_fd, &drain, sizeof(drain));
+        drain_inbox_(r);
         continue;
       }
       // Re-resolve on every event: an earlier event in this batch may
       // have closed the connection.
-      auto it = conns_.find(fd);
-      if (it == conns_.end()) continue;
+      auto it = r.conns.find(fd);
+      if (it == r.conns.end()) continue;
       Connection& conn = *it->second;
       if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
-        close_connection_(fd);
+        close_connection_(r, fd);
         continue;
       }
-      if ((events[i].events & EPOLLOUT) != 0) on_writable_(conn);
-      // on_writable_ may have closed the fd (hard write error).
-      if (conns_.find(fd) == conns_.end()) continue;
-      if ((events[i].events & EPOLLIN) != 0) on_readable_(conn);
+      if ((events[i].events & EPOLLOUT) != 0) flush_write_(r, conn);
+      // flush_write_ may have closed the fd (hard write error).
+      if (r.conns.find(fd) == r.conns.end()) continue;
+      if ((events[i].events & EPOLLIN) != 0) on_readable_(r, conn);
     }
-    if (options_.idle_timeout > 0) scan_idle_(mono_us());
+    if (options_.idle_timeout > 0) scan_idle_(r, mono_us());
   }
-  for (auto& [fd, conn] : conns_) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-  }
-  active_.store(0);
-  conns_.clear();
 }
 
-void EventLoopServer::accept_new_() {
+void EventLoopServer::accept_new_(Reactor& r) {
   while (true) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) return;  // EAGAIN: drained the backlog
     set_nodelay(fd);
-    auto conn = std::make_unique<Connection>();
-    conn->fd = fd;
-    conn->id = next_conn_id_++;
-    conn->last_activity = mono_us();
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      ::close(fd);
-      continue;
-    }
-    conns_.emplace(fd, std::move(conn));
     active_.fetch_add(1);
+    // Round-robin, not SO_REUSEPORT: a hash of four connections over
+    // eight listeners doubles some reactor up most of the time.
+    Reactor& target = *reactors_[next_deal_++ % reactors_.size()];
+    if (&target == &r) {
+      adopt_(r, fd);
+    } else {
+      post_(target, [fd](Inbox& inbox) { inbox.accepted.push_back(fd); });
+    }
   }
 }
 
-void EventLoopServer::on_readable_(Connection& conn) {
+void EventLoopServer::adopt_(Reactor& r, int fd) {
+  auto conn = std::make_unique<Connection>();
+  conn->fd = fd;
+  conn->id = r.next_conn_id++;
+  conn->last_activity = mono_us();
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  if (::epoll_ctl(r.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    ::close(fd);
+    active_.fetch_sub(1);
+    return;
+  }
+  r.conns.emplace(fd, std::move(conn));
+}
+
+void EventLoopServer::on_readable_(Reactor& r, Connection& conn) {
   const int fd = conn.fd;
   std::uint8_t chunk[64 * 1024];
   bool peer_closed = false;
@@ -225,62 +277,86 @@ void EventLoopServer::on_readable_(Connection& conn) {
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    close_connection_(fd);
+    close_connection_(r, fd);
     return;
   }
-  if (!drain_read_buffer_(conn)) {
-    // Oversized length prefix: the stream cannot be resynchronized.
-    close_connection_(fd);
+  if (!drain_read_buffer_(r, conn) || peer_closed) {
+    // An oversized length prefix cannot be resynchronized.  A peer that
+    // finished sending ends the conversation: its replies have nowhere
+    // to go, and a mid-frame disconnect leaves an unparseable stub that
+    // must not leak.
+    close_connection_(r, fd);
     return;
   }
-  if (peer_closed) {
-    // Peer finished sending.  A clean half-close with requests still in
-    // flight could in principle wait for their replies, but both
-    // transports treat client close as end-of-conversation — and a
-    // mid-frame disconnect leaves an unparseable stub that must not leak.
-    close_connection_(fd);
-  }
+  // One send for every reply this read produced inline.
+  flush_write_(r, conn);
 }
 
-bool EventLoopServer::drain_read_buffer_(Connection& conn) {
+bool EventLoopServer::drain_read_buffer_(Reactor& r, Connection& conn) {
   std::size_t off = 0;
-  std::size_t queued = 0;
-  while (!conn.reading_paused && conn.read_buf.size() - off >= 4) {
+  while (conn.in_flight < options_.max_pipeline &&
+         conn.read_buf.size() - off >= 4) {
     const std::uint8_t* p = conn.read_buf.data() + off;
     const std::uint32_t len = (std::uint32_t{p[0]} << 24) |
                               (std::uint32_t{p[1]} << 16) |
                               (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
     if (len > kMaxFrameBytes) return false;
     if (conn.read_buf.size() - off < 4 + std::size_t{len}) break;
-    Task task;
-    task.fd = conn.fd;
-    task.conn_id = conn.id;
-    task.seq = conn.next_assign_seq++;
-    task.frame.assign(p + 4, p + 4 + len);
+    wire::Decoder dec(util::BytesView(p + 4, len));
+    Envelope request = decode_envelope(dec);
     off += 4 + len;
+    const std::uint64_t seq = conn.next_assign_seq++;
     conn.in_flight += 1;
+
+    if (!dec.finish().is_ok()) {
+      // Framed garbage: the stream itself is intact, so answer in-slot
+      // and keep serving.
+      release_(conn, seq,
+               encode_reply_frame(make_error_reply(
+                   request, util::fail(ErrorCode::kParseError,
+                                       "malformed envelope"))));
+      continue;
+    }
+    auto it = nodes_.find(request.to);
+    if (it == nodes_.end()) {
+      release_(conn, seq,
+               encode_reply_frame(make_error_reply(
+                   request, util::fail(ErrorCode::kNotFound,
+                                       "no node '" + request.to +
+                                           "' here"))));
+      continue;
+    }
+    Node& node = *it->second;
+    if (!node.may_block(request.type)) {
+      // Cheaper to run here than to hand off: no worker wake, no
+      // completion wake, and the reply leaves with this read's flush.
+      release_(conn, seq, serve(node, request));
+      continue;
+    }
     {
       std::lock_guard lock(tasks_mutex_);
-      tasks_.push_back(std::move(task));
+      tasks_.push_back(
+          Task{&r, conn.fd, conn.id, seq, &node, std::move(request)});
     }
-    queued += 1;
-    if (conn.in_flight >= options_.max_pipeline) {
-      // Backpressure: stop reading until replies drain.  Bytes already
-      // received stay in read_buf; the kernel buffer and then the peer
-      // absorb the rest.
-      conn.reading_paused = true;
-      update_epoll_(conn);
-    }
+    // One wake per pooled frame, sent at once so the worker overlaps
+    // whatever this read still runs inline.  Workers re-check the queue
+    // under the lock before they wait, so a signal that finds no waiter
+    // loses no task.
+    tasks_cv_.notify_one();
   }
   if (off > 0) {
     conn.read_buf.erase(conn.read_buf.begin(),
                         conn.read_buf.begin() +
                             static_cast<std::ptrdiff_t>(off));
   }
-  // One wake per frame: waking every worker for one frame sends all but
-  // one straight back to sleep.  Workers re-check the queue under the
-  // lock before they wait, so a signal that finds no waiter loses no task.
-  for (std::size_t i = 0; i < queued; ++i) tasks_cv_.notify_one();
+  // Backpressure: at the cap, stop reading until replies drain.  Bytes
+  // already received stay in read_buf; the kernel buffer and then the
+  // peer absorb the rest.
+  const bool pause = conn.in_flight >= options_.max_pipeline;
+  if (pause != conn.reading_paused) {
+    conn.reading_paused = pause;
+    update_epoll_(r, conn);
+  }
   return true;
 }
 
@@ -294,98 +370,84 @@ void EventLoopServer::worker_loop_() {
       task = std::move(tasks_.front());
       tasks_.pop_front();
     }
-    wire::Decoder dec(task.frame);
-    Envelope request = decode_envelope(dec);
-    Envelope reply;
-    if (!dec.finish().is_ok()) {
-      // Framed garbage: the stream itself is intact, so answer in-slot
-      // and keep serving (same contract as the thread-pool server).
-      reply = make_error_reply(
-          request, util::fail(ErrorCode::kParseError, "malformed envelope"));
-    } else {
-      auto it = nodes_.find(request.to);
-      if (it == nodes_.end()) {
-        reply = make_error_reply(
-            request, util::fail(ErrorCode::kNotFound,
-                                "no node '" + request.to + "' here"));
-      } else {
-        // Concurrent dispatch: handlers lock their own state (see
-        // DESIGN.md "Concurrency model").
-        reply = it->second->handle(request);
-        reply.from = request.to;
-        reply.to = request.from;
-      }
-    }
-    Completion done;
-    done.fd = task.fd;
-    done.conn_id = task.conn_id;
-    done.seq = task.seq;
-    done.reply_frame = encode_reply_frame(reply);
-    bool first = false;
-    {
-      std::lock_guard lock(completions_mutex_);
-      first = completions_.empty();
-      completions_.push_back(std::move(done));
-    }
-    // One eventfd write per burst: a completion that finds the queue
-    // non-empty rides the wake of the one that made it non-empty.
-    if (first) {
-      const std::uint64_t one = 1;
-      [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-    }
+    Completion done{task.fd, task.conn_id, task.seq,
+                    serve(*task.node, task.request)};
+    post_(*task.owner, [&done](Inbox& inbox) {
+      inbox.completions.push_back(std::move(done));
+    });
   }
 }
 
-void EventLoopServer::drain_completions_() {
-  std::vector<Completion> batch;
+void EventLoopServer::drain_inbox_(Reactor& r) {
   {
-    // Take the WHOLE queue: the workers' coalesced wake relies on it.
-    // Once this swap empties the queue, the next push is again the first
-    // and writes the eventfd; a bounded drain would leave completions
-    // behind with no write to come for them.
-    std::lock_guard lock(completions_mutex_);
-    batch.swap(completions_);
+    // Take the WHOLE inbox: the coalesced wake relies on it.  Once this
+    // swap empties the inbox, the next push is again the first and
+    // writes the eventfd; a bounded drain would leave entries behind
+    // with no write to come for them.
+    std::lock_guard lock(r.inbox_mutex);
+    std::swap(r.draining, r.inbox);
   }
-  for (Completion& done : batch) {
-    auto it = conns_.find(done.fd);
+  for (const int fd : r.draining.accepted) adopt_(r, fd);
+  std::vector<Connection*> touched;
+  for (Completion& done : r.draining.completions) {
+    auto it = r.conns.find(done.fd);
     // The connection may be gone — or the fd reused by a NEW connection;
     // the generation tag tells them apart.
-    if (it == conns_.end() || it->second->id != done.conn_id) continue;
-    queue_reply_(*it->second, done.seq, std::move(done.reply_frame));
-  }
-}
-
-void EventLoopServer::queue_reply_(Connection& conn, std::uint64_t seq,
-                                   util::Bytes frame) {
-  conn.held_replies.emplace(seq, std::move(frame));
-  // Release the in-order prefix: replies go out strictly in request
-  // order, so a reply that finished early parks until its predecessors
-  // are done.
-  while (true) {
-    auto next = conn.held_replies.find(conn.next_reply_seq);
-    if (next == conn.held_replies.end()) break;
-    conn.write_buf.insert(conn.write_buf.end(), next->second.begin(),
-                          next->second.end());
-    conn.held_replies.erase(next);
-    conn.next_reply_seq += 1;
-    conn.in_flight -= 1;
-    served_.fetch_add(1);
-  }
-  if (conn.reading_paused && conn.in_flight < options_.max_pipeline) {
-    conn.reading_paused = false;
-    update_epoll_(conn);
-    // Frames may already be buffered past the pause point.
-    if (!drain_read_buffer_(conn)) {
-      close_connection_(conn.fd);
-      return;
+    if (it == r.conns.end() || it->second->id != done.conn_id) continue;
+    Connection& conn = *it->second;
+    release_(conn, done.seq, std::move(done.reply_frame));
+    if (!conn.touched) {
+      conn.touched = true;
+      touched.push_back(&conn);
     }
   }
-  flush_write_(conn);
+  // Swapped back on the next drain with its capacity kept.
+  r.draining.accepted.clear();
+  r.draining.completions.clear();
+  // Closing one connection below never frees another, so the pointers
+  // stay valid.
+  for (Connection* conn : touched) {
+    conn->touched = false;
+    // Frames may already be buffered past a pause point.
+    if (conn->reading_paused && !drain_read_buffer_(r, *conn)) {
+      close_connection_(r, conn->fd);
+      continue;
+    }
+    flush_write_(r, *conn);
+  }
 }
 
-void EventLoopServer::on_writable_(Connection& conn) { flush_write_(conn); }
+void EventLoopServer::release_(Connection& conn, std::uint64_t seq,
+                               util::Bytes frame) {
+  // Replies go out strictly in request order: a reply that finished
+  // before an earlier pooled frame parks until its predecessors are done.
+  if (seq != conn.next_reply_seq) {
+    conn.held_replies.emplace(seq, std::move(frame));
+    return;
+  }
+  const auto append = [&conn](util::Bytes& reply) {
+    if (conn.write_buf.empty()) {
+      conn.write_buf = std::move(reply);
+    } else {
+      conn.write_buf.insert(conn.write_buf.end(), reply.begin(),
+                            reply.end());
+    }
+    conn.next_reply_seq += 1;
+    conn.in_flight -= 1;
+  };
+  append(frame);
+  std::uint64_t released = 1;
+  auto next = conn.held_replies.begin();
+  while (next != conn.held_replies.end() &&
+         next->first == conn.next_reply_seq) {
+    append(next->second);
+    next = conn.held_replies.erase(next);
+    released += 1;
+  }
+  served_.fetch_add(released);
+}
 
-void EventLoopServer::flush_write_(Connection& conn) {
+void EventLoopServer::flush_write_(Reactor& r, Connection& conn) {
   const int fd = conn.fd;
   while (conn.write_off < conn.write_buf.size()) {
     const ssize_t put =
@@ -399,42 +461,42 @@ void EventLoopServer::flush_write_(Connection& conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       if (!conn.want_write) {
         conn.want_write = true;
-        update_epoll_(conn);
+        update_epoll_(r, conn);
       }
       return;
     }
-    close_connection_(fd);
+    close_connection_(r, fd);
     return;
   }
   conn.write_buf.clear();
   conn.write_off = 0;
   if (conn.want_write) {
     conn.want_write = false;
-    update_epoll_(conn);
+    update_epoll_(r, conn);
   }
 }
 
-void EventLoopServer::update_epoll_(Connection& conn) {
+void EventLoopServer::update_epoll_(Reactor& r, Connection& conn) {
   epoll_event ev{};
   ev.events = (conn.reading_paused ? 0u : std::uint32_t{EPOLLIN}) |
               (conn.want_write ? std::uint32_t{EPOLLOUT} : 0u);
   ev.data.fd = conn.fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+  ::epoll_ctl(r.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
 }
 
-void EventLoopServer::close_connection_(int fd) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+void EventLoopServer::close_connection_(Reactor& r, int fd) {
+  auto it = r.conns.find(fd);
+  if (it == r.conns.end()) return;
+  ::epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  conns_.erase(it);
+  r.conns.erase(it);
   active_.fetch_sub(1);
 }
 
-void EventLoopServer::scan_idle_(std::uint64_t now_us) {
+void EventLoopServer::scan_idle_(Reactor& r, std::uint64_t now_us) {
   const auto limit = static_cast<std::uint64_t>(options_.idle_timeout);
   std::vector<int> victims;
-  for (const auto& [fd, conn] : conns_) {
+  for (const auto& [fd, conn] : r.conns) {
     // Only truly quiet connections: nothing mid-handler, nothing waiting
     // to flush — just silence (or a dribble of header bytes: the
     // slow-loris case, since partial frames never become in_flight work).
@@ -446,7 +508,7 @@ void EventLoopServer::scan_idle_(std::uint64_t now_us) {
   for (const int fd : victims) {
     // Count before closing: a peer that sees the close may read the count.
     idle_closed_.fetch_add(1);
-    close_connection_(fd);
+    close_connection_(r, fd);
   }
 }
 

@@ -1,36 +1,36 @@
-// Epoll-based event-loop transport.
+// Epoll-based server transport: the one way this library serves
+// net::Node objects over TCP.
 //
-// The thread-pool TcpServer dedicates one blocking worker to each live
-// connection, so a connection can only have ONE request in flight and
-// idle connections pin workers.  EventLoopServer decouples the two: a
-// single reactor thread owns every socket (nonblocking, epoll-driven,
-// incremental frame parsing into per-connection buffers) and a small
-// worker pool runs the Node handlers.  Many frames can be in flight per
-// connection — pipelining — and replies are released strictly in request
-// order through a per-connection reorder buffer, so clients match the
-// k-th reply to the k-th request without tags (see DESIGN.md
-// "Concurrency model" for the wire contract).
-//
-// Serving the SAME net::Node objects behind the same framing as
-// TcpServer makes the two A/B-selectable: every protocol test and bench
-// can run against either transport unchanged (bench_t11_event_loop
-// measures the spread).
+// `Options::workers` reactor threads own the sockets (nonblocking,
+// epoll-driven, incremental frame parsing into per-connection buffers),
+// and a shared pool of as many handler threads runs the handlers that may
+// block.  Many frames can be in flight per connection — pipelining — and
+// replies leave strictly in request order, so clients match the k-th
+// reply to the k-th request without tags (see DESIGN.md §5b for the wire
+// contract).
 //
 // Threading rules, which keep the design small:
-//   * The reactor thread is the only thread that touches sockets,
-//     buffers, epoll state and per-connection bookkeeping.
-//   * Workers only decode a frame, run Node::handle() (handlers are
-//     thread-safe, as with TcpServer), encode the reply, and push a
-//     completion; an eventfd wakes the reactor to write it out.
-//   * Wake only threads that have work: the reactor signals one worker
-//     per queued frame (notify_one), and a worker writes the eventfd only
-//     when its completion lands in an empty queue.  The reactor takes the
-//     whole completion queue per wake, which is what makes that safe.
-//     Reads stop at a short recv; epoll stays level-triggered, so later
-//     bytes raise a fresh event.
-//   * Backpressure: past `max_pipeline` undecided frames the connection's
-//     EPOLLIN is paused — the kernel receive buffer, then the client,
-//     absorb the overflow.
+//   * One reactor owns the listener and deals accepted connections to the
+//     reactors round-robin (itself included), through the target's inbox
+//     and eventfd.  From then on that reactor is the only thread that
+//     touches the connection's socket, buffers and epoll state.
+//   * A reactor decodes each frame's envelope.  It answers a malformed
+//     envelope or an unknown node in the frame's slot itself.  When the
+//     target node says the handler cannot block
+//     (`Node::may_block(type)` is false), the reactor runs it inline and
+//     queues the reply at once: no handoff, no wake.
+//   * Every other frame goes to the pool with its decoded envelope.  A
+//     worker runs Node::handle() (handlers are thread-safe), encodes the
+//     reply and pushes a completion into the owning reactor's inbox.
+//   * Wake only threads that have work: a reactor signals one worker per
+//     pooled frame (notify_one), and a push writes a reactor's eventfd
+//     only when it lands in an empty inbox.  The reactor takes the whole
+//     inbox per wake, which is what makes that safe.  Reads stop at a
+//     short recv; epoll stays level-triggered, so later bytes raise a
+//     fresh event.
+//   * Backpressure: at `max_pipeline` frames without a reply the
+//     connection's EPOLLIN is paused — the kernel receive buffer, then
+//     the client, absorb the overflow.
 #pragma once
 
 #include <atomic>
@@ -50,15 +50,16 @@
 namespace rproxy::net {
 
 /// Hosts Nodes behind a TCP listener, serving concurrent pipelined
-/// requests from an epoll reactor plus a handler worker pool.  Same
-/// attach/start/port/stop surface as TcpServer so tests and benches can
-/// switch transports with one line.
+/// requests from epoll reactors plus a pool for handlers that may block.
 class EventLoopServer {
  public:
   struct Options {
-    /// Handler threads.  Unlike TcpServer's pool this does NOT bound
-    /// connections — thousands of idle sockets cost one epoll entry each
-    /// — it bounds CONCURRENT HANDLER WORK.
+    /// Bounds CONCURRENT HANDLER WORK, not connections (thousands of idle
+    /// sockets cost one epoll entry each).  It sizes both the reactors,
+    /// which run the handlers that cannot block, and the pool, which runs
+    /// the rest.  One reactor per worker rather than per core: a reactor
+    /// serves its connections one frame at a time, and sequential clients
+    /// that share a reactor queue behind each other.
     std::size_t workers = 8;
     /// Close a connection with no complete frame and nothing in flight
     /// after this long (wall-clock microseconds; 0 disables).  This is
@@ -80,17 +81,17 @@ class EventLoopServer {
   /// Registers a node (must outlive the server; attach before start()).
   void attach(NodeId id, Node& node);
 
-  /// Binds 127.0.0.1 on an ephemeral port, starts the reactor and the
+  /// Binds 127.0.0.1 on an ephemeral port, starts the reactors and the
   /// worker pool.
   [[nodiscard]] util::Status start();
 
   /// The bound port (valid after start()).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Stops the reactor, drains the workers, closes every connection.
+  /// Stops the reactors, drains the workers, closes every connection.
   void stop();
 
-  /// Requests served (replies written) so far.
+  /// Requests served (replies queued for writing) so far.
   [[nodiscard]] std::uint64_t requests_served() const {
     return served_.load();
   }
@@ -106,9 +107,9 @@ class EventLoopServer {
   }
 
  private:
-  /// All mutable per-connection state.  Owned by the reactor thread;
-  /// workers never touch it (they carry fd + seq through the queues and
-  /// the reactor re-resolves the connection, which may be gone).
+  /// All mutable per-connection state, owned by one reactor thread.
+  /// Workers never touch it: they carry fd + id + seq and the reactor
+  /// re-resolves the connection, which may be gone.
   struct Connection {
     int fd = -1;
     /// Generation tag: the kernel reuses fd numbers, so a completion for
@@ -119,23 +120,29 @@ class EventLoopServer {
     std::size_t write_off = 0;   ///< sent prefix of write_buf
     std::uint64_t next_assign_seq = 0;  ///< seq for the next parsed frame
     std::uint64_t next_reply_seq = 0;   ///< seq whose reply goes out next
-    /// Replies that arrived out of order, parked until their turn.
+    /// Replies that finished before an earlier pooled frame, parked until
+    /// their turn.
     std::map<std::uint64_t, util::Bytes> held_replies;
     std::size_t in_flight = 0;  ///< frames parsed, reply not yet queued
     std::uint64_t last_activity = 0;  ///< monotonic µs of last readable
     bool want_write = false;     ///< EPOLLOUT currently armed
     bool reading_paused = false;  ///< EPOLLIN dropped at max_pipeline
+    bool touched = false;  ///< has replies from this inbox drain
   };
 
-  /// A parsed frame on its way to a worker.
+  struct Reactor;
+
+  /// A frame on its way to a pool worker.
   struct Task {
+    Reactor* owner = nullptr;
     int fd = -1;
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
-    util::Bytes frame;
+    Node* node = nullptr;
+    Envelope request;
   };
 
-  /// An encoded reply frame on its way back to the reactor.
+  /// An encoded reply frame on its way back to its reactor.
   struct Completion {
     int fd = -1;
     std::uint64_t conn_id = 0;
@@ -143,44 +150,62 @@ class EventLoopServer {
     util::Bytes reply_frame;  ///< length prefix included
   };
 
-  void reactor_loop_();
+  /// What other threads hand a reactor; one eventfd write per burst.
+  struct Inbox {
+    std::vector<Completion> completions;
+    std::vector<int> accepted;  ///< fds dealt by the listening reactor
+    [[nodiscard]] bool empty() const {
+      return completions.empty() && accepted.empty();
+    }
+  };
+
+  struct Reactor {
+    int epoll_fd = -1;
+    int wake_fd = -1;  ///< eventfd: inbox pushes -> this reactor
+    /// Reactor-owned: every open connection, keyed by fd.
+    std::map<int, std::unique_ptr<Connection>> conns;
+    std::uint64_t next_conn_id = 1;  ///< reactor-owned generation counter
+    std::mutex inbox_mutex;
+    Inbox inbox;     ///< guarded by inbox_mutex
+    Inbox draining;  ///< reactor-owned: the inbox taken by the last wake
+    std::thread thread;  ///< runs reactor_loop_; joined by stop()
+  };
+
+  void reactor_loop_(Reactor& r);
   void worker_loop_();
-  void on_readable_(Connection& conn);
-  void on_writable_(Connection& conn);
-  /// Parses complete frames out of read_buf into tasks.  Returns false if
-  /// the connection must be closed (oversized frame).
-  [[nodiscard]] bool drain_read_buffer_(Connection& conn);
-  void queue_reply_(Connection& conn, std::uint64_t seq, util::Bytes frame);
-  void flush_write_(Connection& conn);
-  void update_epoll_(Connection& conn);
-  void close_connection_(int fd);
-  void accept_new_();
-  void drain_completions_();
-  void scan_idle_(std::uint64_t now_us);
+  void accept_new_(Reactor& r);
+  void adopt_(Reactor& r, int fd);
+  /// Runs `push` on `r`'s inbox, writing its eventfd if the inbox was
+  /// empty.
+  template <typename Push>
+  void post_(Reactor& r, Push&& push);
+  void drain_inbox_(Reactor& r);
+  void on_readable_(Reactor& r, Connection& conn);
+  /// Parses complete frames out of read_buf: runs the inline ones, queues
+  /// the rest.  Returns false if the connection must be closed (oversized
+  /// frame).
+  [[nodiscard]] bool drain_read_buffer_(Reactor& r, Connection& conn);
+  /// Queues seq's reply and releases the in-order prefix.
+  void release_(Connection& conn, std::uint64_t seq, util::Bytes frame);
+  void flush_write_(Reactor& r, Connection& conn);
+  void update_epoll_(Reactor& r, Connection& conn);
+  void close_connection_(Reactor& r, int fd);
+  void scan_idle_(Reactor& r, std::uint64_t now_us);
 
   std::map<NodeId, Node*> nodes_;
   Options options_;
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  ///< eventfd: workers -> reactor
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::thread reactor_;
+  std::vector<std::unique_ptr<Reactor>> reactors_;
+  std::size_t next_deal_ = 0;  ///< owned by the listening reactor
   std::vector<std::thread> workers_;
 
-  /// Reactor-owned: every open connection, keyed by fd.
-  std::map<int, std::unique_ptr<Connection>> conns_;
-  std::uint64_t next_conn_id_ = 1;  ///< reactor-owned generation counter
-
-  /// Reactor -> workers.
+  /// Reactors -> pool.
   std::mutex tasks_mutex_;
   std::condition_variable tasks_cv_;
   std::deque<Task> tasks_;
   bool stopping_ = false;  ///< guarded by tasks_mutex_
-
-  /// Workers -> reactor (reactor woken via wake_fd_).
-  std::mutex completions_mutex_;
-  std::vector<Completion> completions_;
 
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::size_t> active_{0};

@@ -36,6 +36,18 @@ class Node {
   /// are returned as kError envelopes (via make_error_reply), NOT as
   /// C++ exceptions — a remote peer cannot throw across the wire.
   [[nodiscard]] virtual Envelope handle(const Envelope& request) = 0;
+
+  /// Whether handle() may wait for a request of `type`: on another
+  /// thread, on storage, or on a nested round trip.  A transport runs a
+  /// handler that cannot block on the thread that read the request
+  /// (EventLoopServer's reactors) and the rest on a worker pool.  The
+  /// answer may change at run time.  A handler answered `false` that
+  /// does wait stalls the other connections of its reactor meanwhile,
+  /// so what it waits for must never need that reactor.  SimNet ignores
+  /// it.
+  [[nodiscard]] virtual bool may_block(MsgType /*type*/) const {
+    return true;
+  }
 };
 
 /// Cumulative traffic counters; benches report these alongside time, since

@@ -121,129 +121,6 @@ void set_nodelay(int fd) {
 
 }  // namespace
 
-void TcpServer::attach(NodeId id, Node& node) {
-  nodes_[std::move(id)] = &node;
-}
-
-util::Status TcpServer::start() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return util::fail(ErrorCode::kInternal, "socket() failed");
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return util::fail(ErrorCode::kInternal, "bind() failed");
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) < 0) {
-    return util::fail(ErrorCode::kInternal, "getsockname() failed");
-  }
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 128) < 0) {
-    return util::fail(ErrorCode::kInternal, "listen() failed");
-  }
-  running_.store(true);
-  workers_.reserve(options_.max_connections);
-  for (std::size_t i = 0; i < options_.max_connections; ++i) {
-    workers_.emplace_back([this] { worker_loop_(); });
-  }
-  return util::Status::ok();
-}
-
-void TcpServer::stop() {
-  if (!running_.exchange(false)) return;
-  // Wakes every worker blocked in accept() (they see EINVAL and exit).
-  // The fd stays open until the workers are joined so its number cannot
-  // be reused under a still-blocked accept.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  {
-    // Force workers out of blocking reads on live connections; each
-    // worker closes its own fd on the way out.
-    std::lock_guard lock(fds_mutex_);
-    for (const int fd : active_fds_) {
-      ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-}
-
-std::size_t TcpServer::active_connections() const {
-  std::lock_guard lock(fds_mutex_);
-  return active_fds_.size();
-}
-
-void TcpServer::worker_loop_() {
-  while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running_.load()) return;
-      continue;  // EINTR or a transient accept error
-    }
-    set_io_timeout(fd, options_.io_timeout);
-    set_nodelay(fd);
-    {
-      // Registered under the same lock stop() uses to shutdown() live
-      // fds: either stop() sees the fd here, or the running_ re-check
-      // below (ordered by fds_mutex_) sees the stop.
-      std::lock_guard lock(fds_mutex_);
-      if (!running_.load()) {
-        ::close(fd);
-        return;
-      }
-      active_fds_.insert(fd);
-    }
-    serve_connection_(fd);
-    {
-      std::lock_guard lock(fds_mutex_);
-      active_fds_.erase(fd);
-    }
-    ::close(fd);
-  }
-}
-
-void TcpServer::serve_connection_(int fd) {
-  util::Bytes frame;
-  while (running_.load() && read_frame(fd, frame) == IoStatus::kOk) {
-    wire::Decoder dec(frame);
-    Envelope request = decode_envelope(dec);
-    Envelope reply;
-    if (!dec.finish().is_ok()) {
-      reply = make_error_reply(
-          request, util::fail(ErrorCode::kParseError, "malformed envelope"));
-    } else {
-      auto it = nodes_.find(request.to);
-      if (it == nodes_.end()) {
-        reply = make_error_reply(
-            request, util::fail(ErrorCode::kNotFound,
-                                "no node '" + request.to + "' here"));
-      } else {
-        // Concurrent dispatch: handlers lock their own state (see
-        // DESIGN.md "Concurrency model").
-        reply = it->second->handle(request);
-        reply.from = request.to;
-        reply.to = request.from;
-      }
-    }
-    served_.fetch_add(1);
-    wire::Encoder enc;
-    encode_envelope(enc, reply);
-    if (write_frame(fd, enc.view()) != IoStatus::kOk) break;
-  }
-}
-
 util::Status TcpClient::connect(const std::string& host, std::uint16_t port,
                                 util::Duration timeout) {
   close();

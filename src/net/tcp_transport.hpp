@@ -1,35 +1,24 @@
-// Real-socket transport.
+// Real-socket transport: the wire format and the client side.
 //
 // Everything in this library speaks net::Envelope through the net::Node
 // interface; SimNet delivers envelopes in-process for deterministic tests
-// and benches.  TcpServer hosts the very same Node objects behind a real
-// TCP loopback listener, and tcp_rpc performs a blocking request/reply —
-// demonstrating that the protocol stack is transport-agnostic and giving
-// deployments a working starting point.
+// and benches, and net::EventLoopServer (event_loop.hpp) hosts the very
+// same Node objects behind a real TCP loopback listener.  This header
+// holds what both ends of that socket share — the envelope codec and the
+// frame bound — plus the blocking clients: TcpClient and tcp_rpc.
 //
 // Framing: u32 big-endian length, then the wire-encoded Envelope
-// (`from, to, type: u16, payload`).  One request/reply per connection
-// round; connections may be reused sequentially.
-//
-// Concurrency: requests are dispatched CONCURRENTLY by a bounded pool of
-// pre-spawned worker threads that block in accept() on the shared
-// listener — a connection never spawns (or joins) a thread, so the hot
-// path has no thread churn and excess clients simply queue in the kernel
-// backlog.  Node handlers must therefore be thread-safe (every server in
-// this library locks its own state; see DESIGN.md "Concurrency model").
-// There is no global dispatch lock.
+// (`from, to, type: u16, payload`).  A connection carries any number of
+// requests, pipelined or not; the server replies in request order (see
+// DESIGN.md §5b).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <set>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "net/message.hpp"
-#include "net/simnet.hpp"
+#include "util/clock.hpp"
 
 namespace rproxy::net {
 
@@ -38,71 +27,9 @@ void encode_envelope(wire::Encoder& enc, const Envelope& e);
 [[nodiscard]] Envelope decode_envelope(wire::Decoder& dec);
 
 /// Largest accepted wire frame (length prefix excluded).  Shared by the
-/// thread-pool server, the event-loop server and the client: a corrupt or
-/// hostile length prefix must never provoke a multi-gigabyte allocation.
+/// server and the client: a corrupt or hostile length prefix must never
+/// provoke a multi-gigabyte allocation.
 inline constexpr std::size_t kMaxFrameBytes = 4u << 20;  // generous for chains
-
-/// Hosts one or more Nodes behind a TCP listener.  Dispatch is routed by
-/// Envelope::to and runs concurrently across connections; handlers must be
-/// thread-safe.
-class TcpServer {
- public:
-  struct Options {
-    /// Size of the worker pool == upper bound on concurrently served
-    /// connections.  Further connections wait in the kernel accept
-    /// backlog until a worker frees up; none are dropped.
-    std::size_t max_connections = 16;
-    /// Per-connection socket receive/send timeout in wall-clock
-    /// microseconds; 0 disables.  A timed-out connection is closed and
-    /// its worker returns to accept(), so stalled peers cannot pin
-    /// workers forever.
-    util::Duration io_timeout = 0;
-  };
-
-  TcpServer() = default;
-  explicit TcpServer(Options options) : options_(options) {}
-  ~TcpServer() { stop(); }
-  TcpServer(const TcpServer&) = delete;
-  TcpServer& operator=(const TcpServer&) = delete;
-
-  /// Registers a node (must outlive the server; attach before start()).
-  void attach(NodeId id, Node& node);
-
-  /// Binds 127.0.0.1 on an ephemeral port and starts the worker pool.
-  [[nodiscard]] util::Status start();
-
-  /// The bound port (valid after start()).
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-
-  /// Wakes every worker (listening or mid-connection), joins the pool,
-  /// and closes the listener.
-  void stop();
-
-  /// Requests served so far.
-  [[nodiscard]] std::uint64_t requests_served() const {
-    return served_.load();
-  }
-
-  /// Connections currently being served (for tests and monitoring).
-  [[nodiscard]] std::size_t active_connections() const;
-
- private:
-  void worker_loop_();
-  void serve_connection_(int fd);
-
-  std::map<NodeId, Node*> nodes_;
-  Options options_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::vector<std::thread> workers_;
-
-  /// Guards active_fds_ (the connections currently being served, so
-  /// stop() can shutdown() them out of blocking reads).
-  mutable std::mutex fds_mutex_;
-  std::set<int> active_fds_;
-  std::atomic<std::uint64_t> served_{0};
-};
 
 /// A persistent client connection: many request/reply rounds over one
 /// TCP connection (the server serves frames until the peer closes).
@@ -128,9 +55,9 @@ class TcpClient {
 
   /// Pipelining half-calls: send() pushes a request frame without waiting
   /// for its reply; receive() blocks for the next reply frame.  The server
-  /// contract (both transports) is that replies come back in request
-  /// order, so after k sends the next k receives match them 1:1.  Any I/O
-  /// failure closes the connection.
+  /// contract is that replies come back in request order, so after k
+  /// sends the next k receives match them 1:1.  Any I/O failure closes
+  /// the connection.
   [[nodiscard]] util::Status send(const Envelope& request);
   [[nodiscard]] util::Result<Envelope> receive();
 

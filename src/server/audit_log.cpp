@@ -58,6 +58,7 @@ util::Status AuditLog::open_sink(const std::string& path,
                     : storage::JournalWriter::create(path, 1, config);
   RPROXY_RETURN_IF_ERROR(writer.status());
   sink_.emplace(std::move(writer.value()));
+  has_sink_.store(true);
   return util::Status::ok();
 }
 

@@ -11,6 +11,7 @@
 // back, truncating a torn tail exactly like accounting recovery does.
 #pragma once
 
+#include <atomic>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -63,6 +64,9 @@ class AuditLog {
       const std::string& path,
       storage::FsyncPolicy policy = storage::FsyncPolicy::kBatch);
 
+  /// True once open_sink() succeeded: append() then writes to storage.
+  [[nodiscard]] bool has_sink() const { return has_sink_.load(); }
+
   /// Forces buffered sink records to stable storage.
   [[nodiscard]] util::Status sync_sink();
 
@@ -90,6 +94,7 @@ class AuditLog {
   mutable std::mutex mutex_;
   std::vector<AuditRecord> records_;
   std::optional<storage::JournalWriter> sink_;
+  std::atomic<bool> has_sink_{false};  ///< sink_ engaged; read lock-free
   std::size_t sink_failures_ = 0;
 };
 

@@ -101,6 +101,10 @@ net::Envelope EndServer::handle(const net::Envelope& request) {
   }
 }
 
+bool EndServer::may_block(net::MsgType /*type*/) const {
+  return audit_.has_sink();
+}
+
 net::Envelope EndServer::handle_challenge_(const net::Envelope& request) {
   return net::make_reply(request, net::MsgType::kPresentChallengeReply,
                          challenges_.issue(config_.clock->now()));
@@ -121,17 +125,26 @@ util::Result<AppReplyPayload> EndServer::process_(
   // server challenge"):
   //  * challenge mode — the proof binds a single-use nonce we issued;
   //  * timestamp mode (challenge_id == 0) — no extra round trip; proofs
-  //    must be fresh (verify_possession enforces max_skew) and are
-  //    remembered in the replay cache until they age out.  The cache's
-  //    expiry comes from proof.timestamp, which the blob's MAC or
-  //    signature covers: a copy with a shifted timestamp misses the
-  //    cache and then fails verification.
+  //    must be fresh and are remembered in the replay cache until they
+  //    age out.  The cache's expiry comes from proof.timestamp, which the
+  //    blob's MAC or signature covers: a copy with a shifted timestamp
+  //    misses the cache and then fails verification.  Freshness is
+  //    checked BEFORE the cache, since nothing has checked the timestamp
+  //    yet: a forged proof dated a year ahead would otherwise pin its
+  //    entry for a year.
   util::Bytes challenge;
   if (req.challenge_id != 0) {
     RPROXY_ASSIGN_OR_RETURN(challenge,
                             challenges_.take(req.challenge_id, now));
   } else {
+    const util::Duration max_skew = verifier_.config().max_skew;
     const auto replay_guard = [&](const core::PossessionProof& proof) {
+      const util::Duration skew = proof.timestamp > now
+                                      ? proof.timestamp - now
+                                      : now - proof.timestamp;
+      if (skew > max_skew) {
+        return util::fail(ErrorCode::kExpired, "possession proof not fresh");
+      }
       return replay_cache_.check_and_insert(
           proof.blob, proof.timestamp + 2 * config_.challenge_ttl, now);
     };

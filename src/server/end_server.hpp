@@ -109,6 +109,12 @@ class EndServer : public net::Node {
 
   net::Envelope handle(const net::Envelope& request) override;
 
+  /// Issuing a challenge, verifying a presentation and performing it
+  /// wait on nothing, so a transport may run them on its reading thread;
+  /// but an attached audit sink writes (and under kBatch fsyncs) inside
+  /// every append.
+  [[nodiscard]] bool may_block(net::MsgType type) const override;
+
  protected:
   /// Performs an authorized operation.  The request has already passed
   /// chain verification, possession, ACL, and restriction checks.

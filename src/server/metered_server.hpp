@@ -52,6 +52,12 @@ class MeteredServer : public EndServer {
 
   explicit MeteredServer(MeteredConfig config);
 
+  /// A paid request deposits its check through the accounting client, a
+  /// round trip to the bank.
+  [[nodiscard]] bool may_block(net::MsgType type) const override {
+    return type == net::MsgType::kAppRequest || EndServer::may_block(type);
+  }
+
   [[nodiscard]] std::uint64_t payments_banked() const {
     return payments_banked_.load();
   }

@@ -75,6 +75,10 @@ struct HealWorld {
     primary->set_replication_barrier([barrier_shipper](std::uint64_t lsn) {
       return barrier_shipper->ship_until(lsn);
     });
+    // Bring-up ends with a ship, so the opened accounts are on every
+    // standby before the first request: setup calls reply to no one, and
+    // a challenge reply (the first a client gets) skips the barrier.
+    EXPECT_TRUE(shipper->ship_until(primary->journal_durable_lsn()).is_ok());
 
     FailoverCoordinator::Config cc;
     cc.net = &world.net;

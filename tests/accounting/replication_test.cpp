@@ -685,5 +685,40 @@ TEST(Replication, QueryReplyWaitsForOtherHandlersUncommittedRecords) {
   EXPECT_GE(rw.standby->received_lsn(), front.pending);
 }
 
+// A challenge reply carries a nonce and nothing of the ledger, so it
+// skips the barrier: another party's uncommitted record stays where it
+// is.  The query that follows may see the record, so it still waits for
+// it to be durable and on every standby.
+TEST(Replication, ChallengeReplySkipsTheBarrierAndTheQueryAfterItWaits) {
+  ReplicaWorld rw(/*with_barrier=*/true, [](AccountingServer::Config& c) {
+    c.fsync_policy = storage::FsyncPolicy::kGroup;
+  });
+  rw.open("a1");
+  rw.make_standby();
+  ASSERT_TRUE(
+      rw.shipper->ship_until(rw.primary->journal_durable_lsn()).is_ok());
+
+  rw.primary->open_account("m1", "mallory", Balances{{"usd", 1}});
+  const std::uint64_t pending = rw.primary->journal_next_lsn() - 1;
+  const std::uint64_t durable = rw.primary->journal_durable_lsn();
+  const std::uint64_t acked = rw.shipper->acked_lsn("bankb");
+  ASSERT_LT(durable, pending);
+
+  auto challenge = rw.world.net.rpc(
+      "alice", "bank", net::MsgType::kPresentChallengeRequest,
+      wire::encode_to_bytes(core::ChallengeRequest{}));
+  ASSERT_TRUE(challenge.is_ok()) << challenge.status();
+  ASSERT_EQ(challenge.value().type, net::MsgType::kPresentChallengeReply);
+  EXPECT_EQ(rw.primary->journal_durable_lsn(), durable);
+  EXPECT_EQ(rw.shipper->acked_lsn("bankb"), acked);
+
+  auto client = rw.world.accounting_client("alice");
+  auto reply = client.query("bank", "a1");
+  ASSERT_TRUE(reply.is_ok()) << reply.status();
+  EXPECT_GE(rw.primary->journal_durable_lsn(), pending);
+  EXPECT_GE(rw.shipper->acked_lsn("bankb"), pending);
+  EXPECT_GE(rw.standby->received_lsn(), pending);
+}
+
 }  // namespace
 }  // namespace rproxy

@@ -11,7 +11,7 @@
 
 #include "accounting/sharding/migration.hpp"
 #include "accounting/sharding/shard_router.hpp"
-#include "net/tcp_transport.hpp"
+#include "net/event_loop.hpp"
 #include "testing/env.hpp"
 
 namespace rproxy {
@@ -24,16 +24,16 @@ using accounting::sharding::uniform_map;
 using rproxy::testing::World;
 
 /// Two gated shards on the SimNet (the inter-shard collection path), each
-/// ALSO exposed over a TcpServer (the router's fanout deposit path), plus
-/// a map service and a router.
+/// ALSO exposed over an EventLoopServer (the router's fanout deposit path),
+/// plus a map service and a router.
 struct FanoutWorld {
   World world;
   ShardDirectory dir;
   std::unique_ptr<accounting::AccountingServer> s1;
   std::unique_ptr<accounting::AccountingServer> s2;
   std::unique_ptr<ShardMapService> map_service;
-  net::TcpServer tcp1;
-  net::TcpServer tcp2;
+  net::EventLoopServer tcp1;
+  net::EventLoopServer tcp2;
 
   FanoutWorld() {
     world.add_principal("router");

@@ -1,7 +1,9 @@
 // Concurrent dispatch over real TCP: many client threads, many nodes, one
-// server with no global dispatch lock — parameterized over BOTH transports
-// (the thread-pool TcpServer and the epoll EventLoopServer), since the
-// protocol invariants cannot depend on who schedules the handlers.
+// server with no global dispatch lock.  The event loop runs challenges
+// and file reads inline on its reactors and transfers, certifies and KDC
+// exchanges on its pool, so both dispatch paths share each node's state
+// here; the protocol invariants cannot depend on who schedules the
+// handlers.
 //
 // The invariants under fire are the financial ones: concurrent authenticated
 // transfers must neither lose nor duplicate postings (conservation), a
@@ -30,7 +32,7 @@ constexpr int kClients = 8;
 constexpr int kTransfersPerClient = 25;
 constexpr std::uint64_t kInitialBalance = 1'000;
 
-class ConcurrentDispatch : public ::testing::TestWithParam<const char*> {
+class ConcurrentDispatch : public ::testing::Test {
  protected:
   ConcurrentDispatch() {
     world_.add_principal("bank");
@@ -54,26 +56,12 @@ class ConcurrentDispatch : public ::testing::TestWithParam<const char*> {
       file_server_->acl().add(authz::AclEntry{{client_name(i)}, {}, {}, {}});
     }
 
-    if (std::string(GetParam()) == "pool") {
-      tcp_.attach("kdc", *world_.kdc_server);
-      tcp_.attach("bank", *bank_);
-      tcp_.attach("file-server", *file_server_);
-      const util::Status started = tcp_.start();
-      EXPECT_TRUE(started.is_ok()) << started;
-      port_ = tcp_.port();
-    } else {
-      loop_.attach("kdc", *world_.kdc_server);
-      loop_.attach("bank", *bank_);
-      loop_.attach("file-server", *file_server_);
-      const util::Status started = loop_.start();
-      EXPECT_TRUE(started.is_ok()) << started;
-      port_ = loop_.port();
-    }
-  }
-
-  [[nodiscard]] std::uint64_t served() const {
-    return std::string(GetParam()) == "pool" ? tcp_.requests_served()
-                                             : loop_.requests_served();
+    loop_.attach("kdc", *world_.kdc_server);
+    loop_.attach("bank", *bank_);
+    loop_.attach("file-server", *file_server_);
+    const util::Status started = loop_.start();
+    EXPECT_TRUE(started.is_ok()) << started;
+    port_ = loop_.port();
   }
 
   static std::string client_name(int i) {
@@ -134,7 +122,6 @@ class ConcurrentDispatch : public ::testing::TestWithParam<const char*> {
   World world_;
   std::unique_ptr<accounting::AccountingServer> bank_;
   std::unique_ptr<server::FileServer> file_server_;
-  net::TcpServer tcp_;
   net::EventLoopServer loop_;
   std::uint16_t port_ = 0;
 };
@@ -142,7 +129,7 @@ class ConcurrentDispatch : public ::testing::TestWithParam<const char*> {
 // Conservation under concurrency: kClients threads each post
 // kTransfersPerClient 1-credit transfers into the shared pot.  Every
 // posting must land exactly once.
-TEST_P(ConcurrentDispatch, ConcurrentTransfersConserveBalances) {
+TEST_F(ConcurrentDispatch, ConcurrentTransfersConserveBalances) {
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(kClients);
@@ -166,13 +153,13 @@ TEST_P(ConcurrentDispatch, ConcurrentTransfersConserveBalances) {
               static_cast<std::int64_t>(kInitialBalance -
                                         kTransfersPerClient));
   }
-  EXPECT_GE(served(),
+  EXPECT_GE(loop_.requests_served(),
             2 * static_cast<std::uint64_t>(kClients) * kTransfersPerClient);
 }
 
 // A single-use challenge presented by many racing connections has exactly
 // one winner: the replayed presentations must all be rejected.
-TEST_P(ConcurrentDispatch, ChallengeReplayHasSingleWinner) {
+TEST_F(ConcurrentDispatch, ChallengeReplayHasSingleWinner) {
   const core::Proxy cap = authz::make_capability_pk(
       "client-0", world_.principal("client-0").identity, "file-server",
       {core::ObjectRights{"/doc", {"read"}}}, world_.clock.now(),
@@ -221,7 +208,7 @@ TEST_P(ConcurrentDispatch, ChallengeReplayHasSingleWinner) {
 // certification — identical terms are one logical certify, however many
 // connections carry it — so all racers report success while the bank's
 // state records a single hold.
-TEST_P(ConcurrentDispatch, ConcurrentCertifySameCheckNumberSingleWinner) {
+TEST_F(ConcurrentDispatch, ConcurrentCertifySameCheckNumberSingleWinner) {
   constexpr int kRacers = 6;
   constexpr std::uint64_t kCheckNumber = 7;
   std::atomic<int> successes{0};
@@ -264,7 +251,7 @@ TEST_P(ConcurrentDispatch, ConcurrentCertifySameCheckNumberSingleWinner) {
 // Different nodes exercised simultaneously through one transport: Kerberos
 // AS exchanges against the KDC interleaved with capability presentations
 // at the file server and transfers at the bank.
-TEST_P(ConcurrentDispatch, MixedNodesServeConcurrently) {
+TEST_F(ConcurrentDispatch, MixedNodesServeConcurrently) {
   constexpr int kPerRole = 4;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -326,46 +313,40 @@ TEST_P(ConcurrentDispatch, MixedNodesServeConcurrently) {
             static_cast<std::size_t>(kPerRole));
 }
 
-INSTANTIATE_TEST_SUITE_P(BothTransports, ConcurrentDispatch,
-                         ::testing::Values("pool", "loop"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
-
-// The bounded worker pool must not deadlock or drop connections when more
-// clients arrive than there are slots.
-TEST(ConcurrentDispatchLimits, MoreClientsThanWorkerSlots) {
+// More clients than reactors: connections share reactors, and none may
+// deadlock or be dropped.
+TEST(ConcurrentDispatchLimits, MoreClientsThanReactors) {
   World world;
   world.add_principal("file-server");
   server::FileServer file_server(world.end_server_config("file-server"));
 
-  net::TcpServer::Options options;
-  options.max_connections = 2;
-  net::TcpServer tcp(options);
-  tcp.attach("file-server", file_server);
-  ASSERT_TRUE(tcp.start().is_ok());
+  net::EventLoopServer::Options options;
+  options.workers = 2;
+  net::EventLoopServer loop(options);
+  loop.attach("file-server", file_server);
+  ASSERT_TRUE(loop.start().is_ok());
 
   constexpr int kRacers = 10;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(kRacers);
   for (int i = 0; i < kRacers; ++i) {
-    threads.emplace_back([&tcp, &failures] {
+    threads.emplace_back([&loop, &failures] {
       for (int t = 0; t < 5; ++t) {
         net::Envelope e;
         e.from = "bob";
         e.to = "file-server";
         e.type = net::MsgType::kPresentChallengeRequest;
-        auto reply = net::tcp_rpc("127.0.0.1", tcp.port(), e);
+        auto reply = net::tcp_rpc("127.0.0.1", loop.port(), e);
         if (!reply.is_ok()) failures.fetch_add(1);
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(tcp.requests_served(), 50u);
-  tcp.stop();
-  EXPECT_EQ(tcp.active_connections(), 0u);
+  EXPECT_EQ(loop.requests_served(), 50u);
+  loop.stop();
+  EXPECT_EQ(loop.active_connections(), 0u);
 }
 
 // Verified-credential cache under concurrency: two file servers behind one
@@ -394,10 +375,10 @@ TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
     fs->acl().add(authz::AclEntry{{"alice"}, {}, {}, {}});
   }
 
-  net::TcpServer tcp;
-  tcp.attach("fs-cached", cached);
-  tcp.attach("fs-plain", plain);
-  ASSERT_TRUE(tcp.start().is_ok());
+  net::EventLoopServer loop;
+  loop.attach("fs-cached", cached);
+  loop.attach("fs-plain", plain);
+  ASSERT_TRUE(loop.start().is_ok());
 
   const auto make_chain = [&](std::size_t depth) {
     core::Proxy proxy = core::grant_pk_proxy(
@@ -441,7 +422,7 @@ TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
     e.to = to;
     e.type = net::MsgType::kAppRequest;
     e.payload = wire::encode_to_bytes(req);
-    auto reply = net::tcp_rpc("127.0.0.1", tcp.port(), e);
+    auto reply = net::tcp_rpc("127.0.0.1", loop.port(), e);
     if (!reply.is_ok()) return reply.status().code();
     return net::status_of(reply.value()).code();
   };
@@ -506,7 +487,7 @@ TEST(ConcurrentVerifyCache, CacheOnOffDecisionParityUnderLoad) {
     });
   }
   for (std::thread& t : threads) t.join();
-  tcp.stop();
+  loop.stop();
 
   EXPECT_EQ(disagreements.load(), 0);
   EXPECT_EQ(accepted_pairs.load(), kThreads * kRounds * 3);

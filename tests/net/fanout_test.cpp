@@ -10,13 +10,14 @@
 #include <string>
 #include <thread>
 
+#include "net/event_loop.hpp"
 #include "net/rpc.hpp"
-#include "net/tcp_transport.hpp"
 
 namespace rproxy::net {
 namespace {
 
-/// Echoes the payload back; sleeps `delay` first (a slow shard).
+/// Echoes the payload back; sleeps `delay` first (a slow shard).  It
+/// keeps the default may_block, so the servers run it on their pools.
 class EchoNode final : public Node {
  public:
   explicit EchoNode(std::chrono::milliseconds delay = {}) : delay_(delay) {}
@@ -45,7 +46,7 @@ Envelope request_to(const std::string& server, std::uint8_t tag) {
 
 TEST(FanoutClient, CollectsFromSeveralServers) {
   EchoNode a, b;
-  TcpServer server_a, server_b;
+  EventLoopServer server_a, server_b;
   server_a.attach("a", a);
   server_b.attach("b", b);
   ASSERT_TRUE(server_a.start().is_ok());
@@ -86,7 +87,7 @@ TEST(FanoutClient, SlowServerDoesNotStallFastReplies) {
   // semantics (collect in send order on one connection) they would wait.
   EchoNode slow(std::chrono::milliseconds(300));
   EchoNode fast;
-  TcpServer slow_server, fast_server;
+  EventLoopServer slow_server, fast_server;
   slow_server.attach("slow", slow);
   fast_server.attach("fast", fast);
   ASSERT_TRUE(slow_server.start().is_ok());
@@ -122,7 +123,7 @@ TEST(FanoutClient, TimeoutSurfacesWhenNoReplyArrives) {
   // A server that never answers within the window: next() must report
   // kTimeout, leaving the request in flight for a later next().
   EchoNode slow(std::chrono::milliseconds(500));
-  TcpServer server;
+  EventLoopServer server;
   server.attach("slow", slow);
   ASSERT_TRUE(server.start().is_ok());
 
@@ -146,7 +147,7 @@ TEST(FanoutClient, SendToUnknownKeyFails) {
 
 TEST(FanoutClient, PeerHangupWithRepliesOwedIsUnavailable) {
   EchoNode node;
-  auto server = std::make_unique<TcpServer>();
+  auto server = std::make_unique<EventLoopServer>();
   server->attach("a", node);
   ASSERT_TRUE(server->start().is_ok());
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/event_loop.hpp"
 #include "testing/env.hpp"
 
 namespace rproxy {
@@ -63,7 +64,7 @@ class TcpWorld : public ::testing::Test {
 
   World world_;
   std::unique_ptr<server::FileServer> file_server_;
-  net::TcpServer tcp_;
+  net::EventLoopServer tcp_;
 };
 
 TEST_F(TcpWorld, KerberosAsExchangeOverTcp) {
@@ -187,7 +188,7 @@ TEST_F(TcpWorld, PersistentConnectionServesManyRequests) {
     ASSERT_TRUE(reply.is_ok()) << reply.status();
     EXPECT_EQ(reply.value().type, net::MsgType::kPresentChallengeReply);
   }
-  // All 50 rounds rode ONE connection: exactly one worker slot was used.
+  // All 50 rounds rode ONE connection.
   EXPECT_EQ(tcp_.active_connections(), 1u);
   client.close();
   EXPECT_GE(tcp_.requests_served(), 50u);

@@ -1,10 +1,10 @@
-// Persistent-connection edge cases BOTH transports must survive the same
-// way: a client vanishing mid-frame, an oversized or garbage frame, a
-// slow-loris peer dribbling header bytes, and a pipelined burst with a
-// failing request in the middle.  The suite is value-parameterized over
-// the thread-pool TcpServer and the epoll EventLoopServer — the wire
-// contract (one frame per request, replies strictly in request order) is
-// transport-independent, so every expectation here runs against both.
+// Persistent-connection edge cases the server must survive: a client
+// vanishing mid-frame, an oversized or garbage frame, a slow-loris peer
+// dribbling header bytes, and a pipelined burst with a failing request in
+// the middle.  The wire contract (one frame per request, replies strictly
+// in request order) holds whichever thread runs a handler, so the suite
+// runs twice: once with the echo handler inline on the reactors, once on
+// the worker pool.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -21,9 +21,16 @@ namespace rproxy {
 namespace {
 
 /// Echoes the payload back; a payload of "fail" provokes an error reply
-/// (the failing-request-in-the-middle case).
+/// (the failing-request-in-the-middle case).  `inline_ok` picks the
+/// thread that runs it: the reactor, or a pool worker.
 class EchoNode final : public net::Node {
  public:
+  explicit EchoNode(bool inline_ok) : inline_ok_(inline_ok) {}
+
+  [[nodiscard]] bool may_block(net::MsgType /*type*/) const override {
+    return !inline_ok_;
+  }
+
   net::Envelope handle(const net::Envelope& request) override {
     if (util::to_string(request.payload) == "fail") {
       return net::make_error_reply(
@@ -34,38 +41,31 @@ class EchoNode final : public net::Node {
     reply.type = net::MsgType::kAppReply;
     return reply;
   }
+
+ private:
+  const bool inline_ok_;
 };
 
 constexpr util::Duration kIdleTimeout = 150 * util::kMillisecond;
 
 class TransportEdge : public ::testing::TestWithParam<const char*> {
  protected:
+  TransportEdge() : echo_(std::string(GetParam()) == "inline") {}
+
   void SetUp() override {
-    if (std::string(GetParam()) == "pool") {
-      net::TcpServer::Options options;
-      // The pool's slow-peer guard is a per-socket receive timeout.
-      options.io_timeout = kIdleTimeout;
-      pool_ = std::make_unique<net::TcpServer>(options);
-      pool_->attach("echo", echo_);
-      const util::Status started = pool_->start();
-      ASSERT_TRUE(started.is_ok()) << started;
-      port_ = pool_->port();
-    } else {
-      net::EventLoopServer::Options options;
-      options.workers = 4;
-      options.idle_timeout = kIdleTimeout;
-      // Deliberately smaller than the bursts below so the backpressure
-      // pause/resume path is exercised, not just configured.
-      options.max_pipeline = 4;
-      loop_ = std::make_unique<net::EventLoopServer>(options);
-      loop_->attach("echo", echo_);
-      const util::Status started = loop_->start();
-      ASSERT_TRUE(started.is_ok()) << started;
-      port_ = loop_->port();
-    }
+    net::EventLoopServer::Options options;
+    options.workers = 4;
+    options.idle_timeout = kIdleTimeout;
+    // Deliberately smaller than the bursts below so the backpressure
+    // pause/resume path is exercised, not just configured.
+    options.max_pipeline = 4;
+    loop_ = std::make_unique<net::EventLoopServer>(options);
+    loop_->attach("echo", echo_);
+    const util::Status started = loop_->start();
+    ASSERT_TRUE(started.is_ok()) << started;
   }
 
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return loop_->port(); }
 
   [[nodiscard]] net::Envelope request(const std::string& payload) const {
     net::Envelope e;
@@ -99,7 +99,7 @@ class TransportEdge : public ::testing::TestWithParam<const char*> {
               static_cast<ssize_t>(bytes.size()));
   }
 
-  /// Frames `body` with the u32 length prefix both servers expect.
+  /// Frames `body` with the u32 length prefix the server expects.
   [[nodiscard]] static util::Bytes frame(const util::Bytes& body) {
     const auto len = static_cast<std::uint32_t>(body.size());
     util::Bytes out;
@@ -143,9 +143,7 @@ class TransportEdge : public ::testing::TestWithParam<const char*> {
   }
 
   EchoNode echo_;
-  std::unique_ptr<net::TcpServer> pool_;
   std::unique_ptr<net::EventLoopServer> loop_;
-  std::uint16_t port_ = 0;
 };
 
 TEST_P(TransportEdge, PipelinedBurstRepliesArriveInOrder) {
@@ -261,13 +259,11 @@ TEST_P(TransportEdge, SlowLorisPartialHeaderIsClosedByTheIdleGuard) {
   raw_send(fd, util::Bytes{0x00, 0x00});
   EXPECT_TRUE(server_closed(fd));
   ::close(fd);
-  if (loop_) {
-    EXPECT_GE(loop_->idle_closed(), 1u);
-  }
+  EXPECT_GE(loop_->idle_closed(), 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(BothTransports, TransportEdge,
-                         ::testing::Values("pool", "loop"),
+INSTANTIATE_TEST_SUITE_P(BothDispatchPaths, TransportEdge,
+                         ::testing::Values("inline", "pooled"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/random.hpp"
 #include "testing/env.hpp"
 
 namespace rproxy {
@@ -239,6 +240,42 @@ TEST_F(EndServerTest, UnknownMessageTypeRejected) {
   ASSERT_TRUE(reply.is_ok());
   EXPECT_EQ(net::status_of(reply.value()).code(),
             util::ErrorCode::kProtocolError);
+}
+
+// A timestamp-mode proof's freshness is checked before the proof enters
+// the replay cache, whose expiry comes from the proof's own timestamp.  A
+// forged proof dated a year ahead is refused as stale every time; it is
+// not remembered (and answered kReplay) for a year.  A fresh proof that
+// is replayed is still caught by the cache.
+TEST_F(EndServerTest, FutureDatedProofIsExpiredBeforeTheReplayCache) {
+  server_->acl().add(authz::AclEntry{{"alice"}, {}, {}, {}});
+  const core::Proxy cap = alice_capability();
+  const auto send = [&](const core::PossessionProof& proof) {
+    server::AppRequestPayload req;
+    req.operation = "read";
+    req.object = "/doc";
+    req.credentials.push_back(core::PresentedCredential{cap.chain, proof});
+    auto reply = world_.net.rpc("bob", "file-server",
+                                net::MsgType::kAppRequest,
+                                wire::encode_to_bytes(req));
+    EXPECT_TRUE(reply.is_ok());
+    return net::status_of(reply.value()).code();
+  };
+  server::AppRequestPayload digest_of;
+  digest_of.operation = "read";
+  digest_of.object = "/doc";
+
+  core::PossessionProof forged = core::prove_bearer(
+      cap, {}, "file-server", world_.clock.now(), digest_of.digest());
+  forged.timestamp = world_.clock.now() + 365 * 24 * util::kHour;
+  forged.blob = crypto::random_bytes(64);
+  EXPECT_EQ(send(forged), util::ErrorCode::kExpired);
+  EXPECT_EQ(send(forged), util::ErrorCode::kExpired);
+
+  const core::PossessionProof fresh = core::prove_bearer(
+      cap, {}, "file-server", world_.clock.now(), digest_of.digest());
+  EXPECT_EQ(send(fresh), util::ErrorCode::kOk);
+  EXPECT_EQ(send(fresh), util::ErrorCode::kReplay);
 }
 
 }  // namespace
