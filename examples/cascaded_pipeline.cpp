@@ -93,7 +93,7 @@ int main() {
                                                 "read", "/novel.txt");
   std::printf("\ndelegate cascade read -> %s\n",
               audited_read.status().to_string().c_str());
-  const server::AuditRecord& record = storage.audit().records().back();
+  const server::AuditRecord record = storage.audit().recent().back();
   std::printf("  audit record: authority=%s via=[", record.authority.c_str());
   for (const PrincipalName& via : record.via) std::printf("%s ", via.c_str());
   std::printf("] — the intermediate is identified (§3.4)\n");

@@ -91,6 +91,7 @@ void JournalShipper::ship_standby_(const PrincipalName& standby,
   }
   if (!tail.is_ok()) {
     progress.all_reachable = false;
+    if (progress.read_error.is_ok()) progress.read_error = tail.status();
     return;
   }
 
@@ -132,13 +133,15 @@ util::Status JournalShipper::ship_until(std::uint64_t lsn) {
   // barrier: one round in flight serves every caller.  A caller that finds
   // no round running leads one (mutex_ released across its I/O); the rest
   // park until it ends and check again.  Each round a caller sees end
-  // short of its LSN — led or parked on — counts against max_attempts.
+  // short of its LSN — led or parked on — counts against max_attempts,
+  // and one that could not read the journal ends the wait.
   std::unique_lock lock(mutex_);
   for (int rounds = 0;; ++rounds) {
     if (fenced_.load()) break;
     if (acked_.empty() || min_acked_locked_() >= lsn) {
       return util::Status::ok();
     }
+    if (rounds > 0 && !round_read_error_.is_ok()) return round_read_error_;
     if (rounds == config_.max_attempts) break;
     if (round_in_flight_) {
       const std::uint64_t seen = rounds_done_;
@@ -147,9 +150,10 @@ util::Status JournalShipper::ship_until(std::uint64_t lsn) {
     }
     round_in_flight_ = true;
     lock.unlock();
-    (void)ship_once();
+    util::Status read_error = ship_once().read_error;
     lock.lock();
     round_in_flight_ = false;
+    round_read_error_ = std::move(read_error);
     rounds_done_ += 1;
     round_done_.notify_all();
   }

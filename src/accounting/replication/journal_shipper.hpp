@@ -56,6 +56,9 @@ class JournalShipper {
     std::uint64_t min_acked_lsn = 0;  ///< slowest standby's acked LSN
     bool all_reachable = true;        ///< every standby answered this round
     bool fenced = false;              ///< a standby fenced us off
+    /// The first committed-tail read that failed other than kNotFound
+    /// (a corrupt durable frame): no later round reads it differently.
+    util::Status read_error = util::Status::ok();
   };
 
   explicit JournalShipper(Config config);
@@ -71,7 +74,8 @@ class JournalShipper {
   /// by Config::max_attempts.  Concurrent callers share one ship_once()
   /// round in flight.
   /// kFenced once a standby promotion is detected; kUnavailable when a
-  /// standby stays unreachable or lagging.
+  /// standby stays unreachable or lagging; a round's read_error as soon
+  /// as a round this caller saw end reports one.
   [[nodiscard]] util::Status ship_until(std::uint64_t lsn);
 
   /// The semi-sync hook for AccountingServer::Config::replication_barrier.
@@ -112,6 +116,8 @@ class JournalShipper {
   /// ships; the others wait on round_done_ for rounds_done_ to move.
   bool round_in_flight_ = false;
   std::uint64_t rounds_done_ = 0;
+  /// The last ship_until() round's Progress::read_error.
+  util::Status round_read_error_ = util::Status::ok();
   std::condition_variable round_done_;
   std::atomic<bool> fenced_{false};
   /// The promoted standby's epoch, learned from its kFenced answer.

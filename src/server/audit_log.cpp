@@ -1,6 +1,5 @@
 #include "server/audit_log.hpp"
 
-#include <algorithm>
 #include <filesystem>
 
 namespace rproxy::server {
@@ -45,7 +44,31 @@ void AuditLog::append(AuditRecord record) {
       sink_failures_ += 1;
     }
   }
-  records_.push_back(std::move(record));
+  (record.allowed ? allowed_ : denied_) += 1;
+  if (recent_.size() < kRecentCapacity) {
+    recent_.push_back(std::move(record));
+  } else {
+    recent_[oldest_] = std::move(record);
+    oldest_ = (oldest_ + 1) % kRecentCapacity;
+  }
+}
+
+std::vector<AuditRecord> AuditLog::recent() const {
+  std::lock_guard lock(mutex_);
+  std::vector<AuditRecord> out;
+  out.reserve(recent_.size());
+  const auto oldest = recent_.begin() + static_cast<std::ptrdiff_t>(oldest_);
+  out.insert(out.end(), oldest, recent_.end());
+  out.insert(out.end(), recent_.begin(), oldest);
+  return out;
+}
+
+void AuditLog::clear() {
+  std::lock_guard lock(mutex_);
+  recent_.clear();
+  oldest_ = 0;
+  allowed_ = 0;
+  denied_ = 0;
 }
 
 util::Status AuditLog::open_sink(const std::string& path,
@@ -85,16 +108,12 @@ util::Result<std::vector<AuditRecord>> AuditLog::read_sink(
 
 std::size_t AuditLog::allowed_count() const {
   std::lock_guard lock(mutex_);
-  return static_cast<std::size_t>(
-      std::count_if(records_.begin(), records_.end(),
-                    [](const AuditRecord& r) { return r.allowed; }));
+  return allowed_;
 }
 
 std::size_t AuditLog::denied_count() const {
   std::lock_guard lock(mutex_);
-  std::size_t allowed = 0;
-  for (const AuditRecord& r : records_) allowed += r.allowed ? 1 : 0;
-  return records_.size() - allowed;
+  return denied_;
 }
 
 }  // namespace rproxy::server

@@ -4,11 +4,13 @@
 // identifies the intermediate server" (§3.4); end-servers record who acted,
 // under whose authority, through whom.
 //
-// The log is in-memory by default; open_sink() additionally streams every
-// record into a CRC-framed journal file (storage/journal) so the trail
-// survives a crash — an audit trail that dies with the process cannot
-// support after-the-fact accounting disputes.  read_sink() loads a file
-// back, truncating a torn tail exactly like accounting recovery does.
+// Memory holds exact allowed/denied counts and the newest kRecentCapacity
+// records, so a long-running server's log costs the same after a billion
+// requests as after a thousand.  The full trail is the sink: open_sink()
+// streams every record into a CRC-framed journal file (storage/journal)
+// so it survives a crash — an audit trail that dies with the process
+// cannot support after-the-fact accounting disputes.  read_sink() loads a
+// file back, truncating a torn tail exactly like accounting recovery does.
 #pragma once
 
 #include <atomic>
@@ -47,12 +49,13 @@ struct AuditRecord {
 /// carries the CRC and torn-tail semantics).
 inline constexpr std::uint16_t kAuditSinkRecordType = 1;
 
-/// Appends and counters are thread-safe (concurrently dispatched handlers
-/// audit every decision).  records() hands out a reference to the live
-/// vector and is for inspection only after the server has quiesced — it
-/// must not be called while requests are still in flight.
+/// Every member is thread-safe (concurrently dispatched handlers audit
+/// every decision).
 class AuditLog {
  public:
+  /// Records kept in memory; an append beyond it drops the oldest.
+  static constexpr std::size_t kRecentCapacity = 1024;
+
   void append(AuditRecord record);
 
   /// Attaches a file-backed sink at `path` (created if absent, appended
@@ -75,24 +78,28 @@ class AuditLog {
   [[nodiscard]] static util::Result<std::vector<AuditRecord>> read_sink(
       const std::string& path);
 
-  [[nodiscard]] const std::vector<AuditRecord>& records() const {
-    return records_;
-  }
+  /// A copy of the newest min(allowed + denied, kRecentCapacity) records,
+  /// oldest first.  Only an attached sink keeps the older ones.
+  [[nodiscard]] std::vector<AuditRecord> recent() const;
+  /// Every decision appended since construction or clear(), exactly.
   [[nodiscard]] std::size_t allowed_count() const;
   [[nodiscard]] std::size_t denied_count() const;
   [[nodiscard]] std::size_t sink_failures() const {
     std::lock_guard lock(mutex_);
     return sink_failures_;
   }
-  /// Clears the in-memory records (the sink file keeps its history).
-  void clear() {
-    std::lock_guard lock(mutex_);
-    records_.clear();
-  }
+  /// Zeroes the counts and drops the recent records (the sink file keeps
+  /// its history).
+  void clear();
 
  private:
   mutable std::mutex mutex_;
-  std::vector<AuditRecord> records_;
+  /// Ring of the newest records: filled by push_back up to
+  /// kRecentCapacity, then overwritten in place at oldest_.
+  std::vector<AuditRecord> recent_;
+  std::size_t oldest_ = 0;
+  std::size_t allowed_ = 0;
+  std::size_t denied_ = 0;
   std::optional<storage::JournalWriter> sink_;
   std::atomic<bool> has_sink_{false};  ///< sink_ engaged; read lock-free
   std::size_t sink_failures_ = 0;

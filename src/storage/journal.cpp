@@ -515,7 +515,7 @@ util::Result<std::uint64_t> JournalWriter::read_durable(
       if (errno == EINTR) continue;
       return io_fail("journal read", path_);
     }
-    if (n == 0) break;  // shorter than indexed: the decoder sees a torn frame
+    if (n == 0) break;  // shorter than indexed: the decoder sees a bad frame
     got += static_cast<std::size_t>(n);
   }
   const util::BytesView frames = util::BytesView(data).first(got);
@@ -523,7 +523,15 @@ util::Result<std::uint64_t> JournalWriter::read_durable(
   std::size_t pos = 0;
   for (std::uint64_t lsn = from_lsn; lsn <= last; ++lsn) {
     const std::optional<Frame> frame = decode_frame(frames.subspan(pos));
-    if (!frame.has_value()) break;
+    if (!frame.has_value()) {
+      // Fsynced bytes that fail their checks are corruption, not a torn
+      // tail: hand back what precedes them, and fail a read that starts
+      // at them rather than report an empty tail forever.
+      if (lsn > from_lsn) break;
+      return util::fail(ErrorCode::kInternal,
+                        "journal '" + path_ + "': durable frame at LSN " +
+                            std::to_string(lsn) + " is corrupt");
+    }
     out->push_back({lsn, frame->type, util::to_bytes(frame->payload)});
     pos += frame->size();
   }

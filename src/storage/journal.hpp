@@ -157,8 +157,11 @@ class JournalWriter {
   /// read was capped at.  One pread of exactly those frames, located
   /// through the frame index; each frame passes the same length and CRC
   /// checks as JournalReader::read, and the first that fails ends the
-  /// read.  A `from_lsn` below base_lsn() or above the watermark reads
-  /// nothing.  Thread-safe against append() and commit().
+  /// read.  Those bytes were fsynced, so a bad frame (or a short pread)
+  /// is corruption, not a torn tail: the read fails kInternal, naming
+  /// the LSN, when it is the first frame asked for.  A `from_lsn` below
+  /// base_lsn() or above the watermark reads nothing.  Thread-safe
+  /// against append() and commit().
   [[nodiscard]] util::Result<std::uint64_t> read_durable(
       std::uint64_t from_lsn, std::size_t max_records,
       std::vector<JournalRecord>* out) const;

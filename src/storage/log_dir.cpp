@@ -175,21 +175,34 @@ util::Result<LogDir::TailRead> LogDir::read_committed(
                                                        : bases.front()) +
                           " were compacted; bootstrap from the snapshot");
   }
+  std::uint64_t next = from_lsn;  // the LSN the read owes next
   for (std::size_t i = 0; i < bases.size(); ++i) {
-    if (out.records.size() >= max_records) break;
+    if (next > out.durable_lsn || out.records.size() >= max_records) break;
     // File i covers [bases[i], bases[i+1]); skip files entirely below the
     // requested start.
-    if (i + 1 < bases.size() && bases[i + 1] <= from_lsn) continue;
+    if (i + 1 < bases.size() && bases[i + 1] <= next) continue;
     RPROXY_ASSIGN_OR_RETURN(JournalReader::Scan scan,
                             JournalReader::read(journal_path_(bases[i])));
     for (JournalRecord& record : scan.records) {
-      if (record.lsn < from_lsn) continue;
-      if (record.lsn > out.durable_lsn ||
+      if (record.lsn < next) continue;
+      if (record.lsn != next || next > out.durable_lsn ||
           out.records.size() >= max_records) {
         break;
       }
       out.records.push_back(std::move(record));
+      next += 1;
     }
+    // A file that ends short of the next one's base lost durable records
+    // (a bad frame ends its scan); later files cannot close the gap.
+    if (i + 1 < bases.size() && next < bases[i + 1]) break;
+  }
+  // As in JournalWriter::read_durable: the frames before the gap are
+  // returned, and a read that starts at it fails.
+  if (out.records.empty() && next <= out.durable_lsn && max_records > 0) {
+    return util::fail(ErrorCode::kInternal,
+                      "journal records at LSN " + std::to_string(next) +
+                          " in '" + config_.dir +
+                          "' are durable but unreadable");
   }
   return out;
 }

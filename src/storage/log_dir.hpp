@@ -99,6 +99,9 @@ class LogDir {
   /// and CRC.  Safe against a concurrent append or checkpoint: both run
   /// under the rotation lock, and the cap keeps them inside frames fully
   /// written before their fsync.
+  /// A durable record that cannot be read (a bad frame, or a gap between
+  /// files) ends the read after the records before it; a read that starts
+  /// at it fails kInternal, naming the LSN.
   /// Fails kNotFound when `from_lsn` predates the oldest journal on disk
   /// (compacted away by a checkpoint); the caller bootstraps the follower
   /// from latest_snapshot() instead.

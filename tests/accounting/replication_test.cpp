@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -588,6 +590,50 @@ TEST(Replication, ConcurrentWaitersAllFailWhileTheStandbyIsUnreachable) {
   rw.world.net.restore_link("bank", "bankb");
   ASSERT_TRUE(rw.shipper->ship_until(target).is_ok());
   EXPECT_EQ(rw.standby->received_lsn(), target);
+}
+
+// A durable frame that fails its CRC can never be shipped, so the barrier
+// reports it (naming its LSN) after the one round that read it, instead
+// of sending heartbeats until max_attempts runs out.
+TEST(Replication, CorruptDurableFrameFailsTheBarrierWithinOneRound) {
+  ReplicaWorld rw;
+  rw.open("a1");
+  rw.open("a2");
+  rw.make_standby();
+  ASSERT_TRUE(rw.shipper->ship_until(rw.primary->journal_durable_lsn())
+                  .is_ok());
+  CountingShips counting(*rw.standby);
+  rw.world.net.attach("bankb", counting);
+
+  std::string journal;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(rw.tmp.sub("bank"))) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("journal-", 0) == 0 && name > journal) journal = name;
+  }
+  ASSERT_FALSE(journal.empty());
+  const std::string path = rw.tmp.sub("bank") + "/" + journal;
+  const std::uintmax_t frame_offset = std::filesystem::file_size(path);
+  const std::uint64_t bad_lsn = rw.primary->journal_durable_lsn() + 1;
+  rw.open("a3");  // kEveryRecord: durable once open_account returns
+  ASSERT_EQ(rw.primary->journal_durable_lsn(), bad_lsn);
+  {
+    // Flip a bit of the new frame's CRC field behind the writer's back.
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekg(static_cast<std::streamoff>(frame_offset + 6));
+    const char byte = static_cast<char>(file.get() ^ 0x01);
+    file.seekp(static_cast<std::streamoff>(frame_offset + 6));
+    file.put(byte);
+  }
+
+  const util::Status status = rw.shipper->ship_until(bad_lsn);
+  EXPECT_EQ(status.code(), ErrorCode::kInternal) << status;
+  EXPECT_NE(status.message().find("LSN " + std::to_string(bad_lsn)),
+            std::string::npos)
+      << status;
+  // The failed read sent nothing, not max_attempts empty heartbeats.
+  EXPECT_EQ(counting.ships.load(), 0);
+  EXPECT_EQ(rw.shipper->acked_lsn("bankb"), bad_lsn - 1);
 }
 
 TEST(Replication, GroupBarrierIsTheOnlyFsyncUnderConcurrentWriters) {

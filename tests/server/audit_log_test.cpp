@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "testing/tempdir.hpp"
 
@@ -27,7 +30,7 @@ TEST(AuditLog, CountsOutcomes) {
   log.append(record(true));
   log.append(record(false));
   log.append(record(true));
-  EXPECT_EQ(log.records().size(), 3u);
+  EXPECT_EQ(log.recent().size(), 3u);
   EXPECT_EQ(log.allowed_count(), 2u);
   EXPECT_EQ(log.denied_count(), 1u);
 }
@@ -38,7 +41,7 @@ TEST(AuditLog, PreservesOrderAndFields) {
   r.identities = {"bob"};
   r.via = {"intermediate"};
   log.append(r);
-  const AuditRecord& stored = log.records().front();
+  const AuditRecord stored = log.recent().front();
   EXPECT_EQ(stored.operation, "write");
   EXPECT_EQ(stored.identities, std::vector<PrincipalName>{"bob"});
   EXPECT_EQ(stored.via, std::vector<PrincipalName>{"intermediate"});
@@ -47,11 +50,57 @@ TEST(AuditLog, PreservesOrderAndFields) {
 
 TEST(AuditLog, ClearResets) {
   AuditLog log;
-  log.append(record(true));
+  for (std::size_t i = 0; i < AuditLog::kRecentCapacity + 10; ++i) {
+    log.append(record(i % 2 == 0));
+  }
   log.clear();
-  EXPECT_TRUE(log.records().empty());
+  EXPECT_TRUE(log.recent().empty());
   EXPECT_EQ(log.allowed_count(), 0u);
   EXPECT_EQ(log.denied_count(), 0u);
+  // The ring starts over: the next record is the oldest and only one.
+  log.append(record(false, "write"));
+  ASSERT_EQ(log.recent().size(), 1u);
+  EXPECT_EQ(log.recent().front().operation, "write");
+  EXPECT_EQ(log.denied_count(), 1u);
+}
+
+// Memory holds the newest kRecentCapacity records, oldest first; the
+// counts still cover every append.
+TEST(AuditLog, KeepsOnlyTheNewestRecordsInOrder) {
+  AuditLog log;
+  constexpr std::size_t kAppends = 5000;
+  for (std::size_t i = 0; i < kAppends; ++i) {
+    AuditRecord r = record(i % 3 != 0);
+    r.detail = std::to_string(i);
+    log.append(std::move(r));
+  }
+  const std::vector<AuditRecord> recent = log.recent();
+  ASSERT_EQ(recent.size(), AuditLog::kRecentCapacity);
+  const std::size_t first = kAppends - AuditLog::kRecentCapacity;
+  for (std::size_t i = 0; i < recent.size(); ++i) {
+    ASSERT_EQ(recent[i].detail, std::to_string(first + i)) << i;
+  }
+  EXPECT_EQ(log.allowed_count(), 3333u);
+  EXPECT_EQ(log.denied_count(), 1667u);
+}
+
+TEST(AuditLog, ConcurrentAppendsCountExactly) {
+  AuditLog log;
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 10'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&log, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        log.append(record((i + t) % 4 != 0));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // (i + t) % 4 == 0 for exactly a quarter of each thread's appends.
+  EXPECT_EQ(log.denied_count(), std::size_t{kThreads} * kPerThread / 4);
+  EXPECT_EQ(log.allowed_count(), std::size_t{kThreads} * kPerThread * 3 / 4);
+  EXPECT_EQ(log.recent().size(), AuditLog::kRecentCapacity);
 }
 
 TEST(AuditLog, SinkRoundTripsEveryField) {
@@ -136,7 +185,7 @@ TEST(AuditLog, SinkFailureNeverBlocksServing) {
   AuditRecord huge = record(true);
   huge.detail.assign(storage::kMaxJournalRecordBytes + 1, 'x');
   log.append(huge);
-  EXPECT_EQ(log.records().size(), 2u);
+  EXPECT_EQ(log.recent().size(), 2u);
   EXPECT_EQ(log.sink_failures(), 1u);
 }
 

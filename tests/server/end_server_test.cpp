@@ -6,6 +6,7 @@
 
 #include "crypto/random.hpp"
 #include "testing/env.hpp"
+#include "testing/tempdir.hpp"
 
 namespace rproxy {
 namespace {
@@ -218,11 +219,54 @@ TEST_F(EndServerTest, AuditLogRecordsOutcomes) {
 
   EXPECT_EQ(server_->audit().allowed_count(), 1u);
   EXPECT_EQ(server_->audit().denied_count(), 1u);
-  const server::AuditRecord& ok = server_->audit().records()[0];
+  const std::vector<server::AuditRecord> recent = server_->audit().recent();
+  ASSERT_EQ(recent.size(), 2u);
+  const server::AuditRecord& ok = recent[0];
   EXPECT_EQ(ok.operation, "read");
   EXPECT_EQ(ok.object, "/doc");
   EXPECT_EQ(ok.authority, "alice");
   EXPECT_TRUE(ok.allowed);
+}
+
+// Memory keeps exact counts and only the newest records; the sink keeps
+// every one.
+TEST_F(EndServerTest, AuditSinkKeepsEveryRecordMemoryOnlyTheNewest) {
+  testing::TempDir dir;
+  const std::string path = dir.sub("audit.wal");
+  ASSERT_TRUE(server_->audit().open_sink(path).is_ok());
+  server_->acl().add(authz::AclEntry{{"alice"}, {}, {}, {}});
+  const core::Proxy cap = alice_capability();
+  server::AppClient bob(world_.net, world_.clock, "bob");
+  constexpr std::size_t kRequests = server::AuditLog::kRecentCapacity + 500;
+  std::size_t allowed = 0;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const bool allow = i % 3 != 0;
+    const auto result = bob.invoke_with_proxy("file-server", cap, "read",
+                                              allow ? "/doc" : "/secret");
+    ASSERT_EQ(result.is_ok(), allow) << i << ": " << result.status();
+    allowed += allow ? 1 : 0;
+  }
+
+  EXPECT_EQ(server_->audit().allowed_count(), allowed);
+  EXPECT_EQ(server_->audit().denied_count(), kRequests - allowed);
+  const std::vector<server::AuditRecord> recent = server_->audit().recent();
+  ASSERT_EQ(recent.size(), server::AuditLog::kRecentCapacity);
+  EXPECT_EQ(recent.back().object, "/doc");  // request 1523 was allowed
+  EXPECT_TRUE(recent.back().allowed);
+
+  ASSERT_TRUE(server_->audit().sync_sink().is_ok());
+  auto trail = server::AuditLog::read_sink(path);
+  ASSERT_TRUE(trail.is_ok()) << trail.status();
+  ASSERT_EQ(trail.value().size(), kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(trail.value()[i].allowed, i % 3 != 0) << i;
+  }
+  // The tail in memory is the trail's last kRecentCapacity records.
+  const std::size_t first = kRequests - recent.size();
+  for (std::size_t i = 0; i < recent.size(); ++i) {
+    EXPECT_EQ(recent[i].object, trail.value()[first + i].object) << i;
+    EXPECT_EQ(recent[i].allowed, trail.value()[first + i].allowed) << i;
+  }
 }
 
 TEST_F(EndServerTest, MalformedRequestRejected) {

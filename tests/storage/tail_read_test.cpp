@@ -62,6 +62,22 @@ std::string active_journal(const std::string& dir) {
   return dir + "/" + newest;
 }
 
+/// Flips one payload bit of the record appended `i`-th into the journal
+/// file at `path` (whose first record is the 0th), behind the writer's
+/// back.
+void corrupt_record(const std::string& path, int i) {
+  ASSERT_GT(payload_for(i).size(), 0u);
+  std::size_t offset = kFileHeaderBytes + kFrameHeaderBytes;
+  for (int j = 0; j < i; ++j) {
+    offset += kFrameHeaderBytes + payload_for(j).size();
+  }
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  file.seekg(static_cast<std::streamoff>(offset));
+  const char byte = static_cast<char>(file.get() ^ 0x04);
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.put(byte);
+}
+
 /// Every record of every journal file in `dir`, in LSN order.
 std::vector<JournalRecord> scan_all(const std::string& dir) {
   std::vector<std::string> files;
@@ -207,32 +223,88 @@ TEST(TailReadTest, GroupCommitNeverReturnsUncommittedRecords) {
   EXPECT_EQ(tail.value().records.back().lsn, 15u);
 }
 
-TEST(TailReadTest, ACorruptFrameEndsTheRead) {
+// A durable frame that fails its CRC is corruption, not a torn tail: a
+// read returns the frames before it, and a read that starts at it fails
+// (kInternal, not kNotFound, which would send the follower to a
+// bootstrap) instead of reading an empty tail forever.
+TEST(TailReadTest, ACorruptFrameEndsTheReadAndFailsOneThatStartsAtIt) {
   TempDir dir;
   LogDir log = open_log(dir.path());
   append_n(log, 12);
   ASSERT_TRUE(log.sync().is_ok());
-  // Flip one payload bit of LSN 6 behind the writer's back.
-  std::size_t offset = kFileHeaderBytes;
-  for (int i = 0; i < 5; ++i) {
-    offset += kFrameHeaderBytes + payload_for(i).size();
-  }
-  ASSERT_GT(payload_for(5).size(), 0u);
-  {
-    std::fstream file(active_journal(dir.path()),
-                      std::ios::binary | std::ios::in | std::ios::out);
-    file.seekg(static_cast<std::streamoff>(offset + kFrameHeaderBytes));
-    const char byte = static_cast<char>(file.get() ^ 0x04);
-    file.seekp(static_cast<std::streamoff>(offset + kFrameHeaderBytes));
-    file.put(byte);
-  }
+  corrupt_record(active_journal(dir.path()), 5);  // LSN 6
   auto before = log.read_committed(3, 100);
   ASSERT_TRUE(before.is_ok()) << before.status();
   ASSERT_EQ(before.value().records.size(), 3u);  // LSNs 3..5, nothing after
   EXPECT_EQ(before.value().records.back().lsn, 5u);
   auto at = log.read_committed(6, 100);
-  ASSERT_TRUE(at.is_ok()) << at.status();
-  EXPECT_TRUE(at.value().records.empty());
+  EXPECT_EQ(at.code(), util::ErrorCode::kInternal);
+  EXPECT_NE(at.status().message().find("LSN 6"), std::string::npos)
+      << at.status();
+  // The index still locates the frames after it.
+  auto after = log.read_committed(7, 100);
+  ASSERT_TRUE(after.is_ok()) << after.status();
+  ASSERT_EQ(after.value().records.size(), 6u);
+  EXPECT_EQ(after.value().records.front().lsn, 7u);
+}
+
+// A journal cut short below the watermark reads like a bad frame: the
+// pread comes back short, and the frame it cut is corruption too.
+TEST(TailReadTest, AShortReadBelowTheWatermarkEndsTheRead) {
+  TempDir dir;
+  LogDir log = open_log(dir.path());
+  append_n(log, 12);
+  ASSERT_TRUE(log.sync().is_ok());
+  const std::string path = active_journal(dir.path());
+  std::size_t end_of_lsn_9 = kFileHeaderBytes;
+  for (int i = 0; i < 9; ++i) {
+    end_of_lsn_9 += kFrameHeaderBytes + payload_for(i).size();
+  }
+  std::filesystem::resize_file(path, end_of_lsn_9 + 3);  // into LSN 10
+  auto before = log.read_committed(4, 100);
+  ASSERT_TRUE(before.is_ok()) << before.status();
+  ASSERT_EQ(before.value().records.size(), 6u);  // LSNs 4..9
+  EXPECT_EQ(before.value().records.back().lsn, 9u);
+  for (const std::uint64_t from : {10, 12}) {
+    auto at = log.read_committed(from, 100);
+    EXPECT_EQ(at.code(), util::ErrorCode::kInternal) << from;
+    EXPECT_NE(at.status().message().find("LSN " + std::to_string(from)),
+              std::string::npos)
+        << at.status();
+  }
+}
+
+// The same rule below the active journal, where a file an interrupted
+// compaction left behind is scanned whole: nothing after its bad frame
+// can be located, and no read may skip the gap into the next file.
+TEST(TailReadTest, ACorruptFrameInALeftoverJournalEndsTheRead) {
+  TempDir dir;
+  LogDir log = open_log(dir.path());
+  append_n(log, 12);
+  ASSERT_TRUE(log.sync().is_ok());
+  const std::string old_path = active_journal(dir.path());
+  const std::string kept = dir.sub("kept.bin");
+  std::filesystem::copy_file(old_path, kept);
+  ASSERT_TRUE(log.checkpoint(util::to_bytes(std::string("s12"))).is_ok());
+  std::filesystem::rename(kept, old_path);
+  append_n(log, 5, 12);
+  ASSERT_TRUE(log.sync().is_ok());
+  corrupt_record(old_path, 5);  // LSN 6 in the leftover file
+  auto before = log.read_committed(3, 100);
+  ASSERT_TRUE(before.is_ok()) << before.status();
+  ASSERT_EQ(before.value().records.size(), 3u);  // LSNs 3..5, no skip to 13
+  EXPECT_EQ(before.value().records.back().lsn, 5u);
+  for (const std::uint64_t from : {6, 9, 12}) {
+    auto at = log.read_committed(from, 100);
+    EXPECT_EQ(at.code(), util::ErrorCode::kInternal) << from;
+    EXPECT_NE(at.status().message().find("LSN " + std::to_string(from)),
+              std::string::npos)
+        << at.status();
+  }
+  // The active journal still serves its own LSNs.
+  auto active = log.read_committed(13, 100);
+  ASSERT_TRUE(active.is_ok()) << active.status();
+  EXPECT_EQ(active.value().records.size(), 5u);
 }
 
 }  // namespace
