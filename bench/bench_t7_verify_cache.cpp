@@ -11,7 +11,11 @@
 //   * BM_AppRequestThroughput — full end-server request processing
 //                            (timestamp-mode presentation, possession
 //                            proof, ACL, restrictions, audit) with the
-//                            cache off vs on.
+//                            cache off vs on;
+//   * BM_ZipfChainMix      — e2ebench's authz chain mix scaled 1:4 through
+//                            256 slots: Ed25519 verifies per op and the
+//                            hit ratio that the eviction order leaves.
+#include <algorithm>
 #include <chrono>
 
 #include "authz/capability.hpp"
@@ -19,6 +23,7 @@
 #include "core/presentation.hpp"
 #include "net/rpc.hpp"
 #include "server/file_server.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -48,6 +53,7 @@ core::ProxyVerifier make_verifier(testing::World& world,
                                   std::size_t cache_capacity) {
   core::ProxyVerifier::Config vc;
   vc.server_name = "file-server";
+  vc.server_key = world.principal("file-server").krb_key;
   vc.resolver = &world.resolver;
   vc.pk_root = world.name_server.root_key();
   vc.verify_cache_capacity = cache_capacity;
@@ -176,5 +182,88 @@ void BM_AppRequestThroughput(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(stats.hits));
 }
 BENCHMARK(BM_AppRequestThroughput)->Arg(0)->Arg(1)->ArgName("cached");
+
+/// e2ebench's authz plan scaled 1:4: 1024 chains in Zipf(1) rank order,
+/// every fifth one public-key, depths 1-4 cycling with the rank, verified
+/// through 256 cache slots.  A fixed-seed warm-up pass fills the cache
+/// first, so the timed pass reads the steady state, and both passes draw
+/// the same sequence on every build.  `ed25519_verifies_per_op` counts
+/// chain misses only; the per-request possession proofs are not here.
+void BM_ZipfChainMix(benchmark::State& state) {
+  constexpr std::uint32_t kChains = 1024;
+  constexpr std::size_t kSlots = 256;
+  constexpr int kWarmup = 20000;
+  testing::World world;
+  world.net.set_default_latency(0);
+  world.add_principal("alice");
+  world.add_principal("file-server");
+  kdc::KdcClient client = world.kdc_client("alice");
+  auto tgt = client.authenticate(8 * util::kHour);
+  auto creds = expect_ok(
+      state, client.get_ticket(tgt.value(), "file-server", 8 * util::kHour),
+      "get_ticket");
+
+  std::vector<core::Proxy> chains;
+  chains.reserve(kChains);
+  for (std::uint32_t c = 0; c < kChains; ++c) {
+    core::Proxy proxy =
+        c % 5 == 2
+            ? core::grant_pk_proxy("alice", world.principal("alice").identity,
+                                   {}, world.clock.now(), util::kHour)
+            : core::grant_krb_proxy(client, creds, {}, world.clock.now());
+    for (std::uint32_t hop = 1; hop < 1 + c % 4; ++hop) {
+      proxy = core::extend_bearer(proxy, {}, world.clock.now(), util::kHour)
+                  .value();
+    }
+    chains.push_back(std::move(proxy));
+  }
+
+  std::vector<double> cdf;
+  double total = 0;
+  for (std::uint32_t r = 1; r <= kChains; ++r) {
+    total += 1.0 / static_cast<double>(r);
+    cdf.push_back(total);
+  }
+  for (double& c : cdf) c /= total;
+  util::Rng rng(7);
+  const auto next_chain = [&]() -> const core::ProxyChain& {
+    const auto rank = std::lower_bound(cdf.begin(), cdf.end(),
+                                       rng.next_double()) -
+                      cdf.begin();
+    return chains[std::min<std::size_t>(static_cast<std::size_t>(rank),
+                                        kChains - 1)]
+        .chain;
+  };
+
+  const core::ProxyVerifier verifier = make_verifier(world, kSlots);
+  for (int i = 0; i < kWarmup; ++i) {
+    if (!verifier.verify_chain(next_chain(), world.clock.now()).is_ok()) {
+      state.SkipWithError("warm-up verify failed");
+      return;
+    }
+  }
+
+  const core::ChainCacheStats cache_before = verifier.cache_stats();
+  const crypto::KeyCacheStats keys_before = crypto::key_cache_stats();
+  for (auto _ : state) {
+    auto verified = verifier.verify_chain(next_chain(), world.clock.now());
+    benchmark::DoNotOptimize(verified);
+    if (!verified.is_ok()) state.SkipWithError("verify failed");
+  }
+  const core::ChainCacheStats cache = verifier.cache_stats();
+  const crypto::KeyCacheStats keys = crypto::key_cache_stats();
+  const auto ops = static_cast<double>(state.iterations());
+  const auto verifies = static_cast<double>(
+      keys.verify_hits + keys.verify_misses - keys_before.verify_hits -
+      keys_before.verify_misses);
+  const auto hits = static_cast<double>(cache.hits - cache_before.hits);
+  const auto misses = static_cast<double>(cache.misses - cache_before.misses);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["ed25519_verifies_per_op"] =
+      benchmark::Counter(ops > 0 ? verifies / ops : 0);
+  state.counters["hit_ratio"] =
+      benchmark::Counter(hits + misses > 0 ? hits / (hits + misses) : 0);
+}
+BENCHMARK(BM_ZipfChainMix)->Iterations(20000);
 
 }  // namespace

@@ -34,7 +34,7 @@ ChainVerifyCache::Entry* ChainVerifyCache::find_live_(
     // the exact kExpired diagnosis) or past the reuse TTL (re-derive so a
     // revoked grantor key stops being honoured).  Either way the entry is
     // dead for all future `now`s.
-    lru_.erase(entry.lru);
+    order_.erase(entry.rank);
     map_.erase(it);
     expired_drops_ += 1;
     return nullptr;
@@ -48,7 +48,7 @@ ChainVerifyCache::Entry* ChainVerifyCache::find_live_(
         // A principal THIS entry relied on was revoked against: drop the
         // entry and fall through to full verification, which re-derives
         // ground truth.  Entries for untouched grantors keep their warmth.
-        lru_.erase(entry.lru);
+        order_.erase(entry.rank);
         map_.erase(it);
         revocation_stale_drops_ += 1;
         return nullptr;
@@ -61,9 +61,11 @@ ChainVerifyCache::Entry* ChainVerifyCache::find_live_(
   return &entry;
 }
 
-void ChainVerifyCache::touch_(Entry& entry) {
-  lru_.splice(lru_.begin(), lru_, entry.lru);
-  hits_ += 1;
+void ChainVerifyCache::refile_(Entry& entry) {
+  entry.uses = std::min(entry.uses + 1, kMaxUses);
+  Order::node_type node = order_.extract(entry.rank);
+  node.key() = Rank{floor_ + entry.uses * entry.cost, ++filed_};
+  entry.rank = order_.insert(std::move(node)).position;
 }
 
 std::optional<VerifiedProxy> ChainVerifyCache::lookup(
@@ -78,7 +80,8 @@ std::optional<VerifiedProxy> ChainVerifyCache::lookup(
     misses_ += 1;
     return std::nullopt;
   }
-  touch_(*entry);
+  refile_(*entry);
+  hits_ += 1;
   return entry->chain;
 }
 
@@ -90,7 +93,8 @@ bool ChainVerifyCache::lookup_identity(const crypto::Digest& key,
     misses_ += 1;
     return false;
   }
-  touch_(*entry);
+  refile_(*entry);
+  hits_ += 1;
   return true;
 }
 
@@ -116,9 +120,15 @@ void ChainVerifyCache::insert(const crypto::Digest& key,
   for (const PrincipalName& name : verified.audit_trail) {
     if (name != verified.grantor) grantors.push_back(name);
   }
+  // A hit skips one check per link: an Ed25519 verify on a public-key
+  // chain; the ticket, then a cascade link's AEAD open and MAC, on a
+  // Kerberos chain.
+  const std::uint64_t per_link =
+      chain.mode == ProxyMode::kPublicKey ? kSignatureCost : 1;
+  const std::uint64_t cost = 1 + per_link * chain.length();
 
   std::lock_guard lock(mutex_);
-  Entry* entry = put_(key, now, grantors, verified_at);
+  Entry* entry = put_(key, cost, now, grantors, verified_at);
   if (entry == nullptr) return;
   entry->chain = verified;
   entry->expires_at = verified.expires_at;
@@ -135,7 +145,7 @@ void ChainVerifyCache::insert_identity(const crypto::Digest& key,
   const std::vector<PrincipalName> grantors{cert.subject};
 
   std::lock_guard lock(mutex_);
-  Entry* entry = put_(key, now, grantors, verified_at);
+  Entry* entry = put_(key, 1 + kSignatureCost, now, grantors, verified_at);
   if (entry == nullptr) return;
   entry->chain.reset();
   entry->expires_at = cert.expires_at;
@@ -143,7 +153,7 @@ void ChainVerifyCache::insert_identity(const crypto::Digest& key,
 }
 
 ChainVerifyCache::Entry* ChainVerifyCache::put_(
-    const crypto::Digest& key, util::TimePoint now,
+    const crypto::Digest& key, std::uint64_t cost, util::TimePoint now,
     const std::vector<PrincipalName>& grantors, std::uint64_t verified_at) {
   std::vector<std::pair<PrincipalName, std::uint64_t>> epochs;
   std::uint64_t version = 0;
@@ -154,31 +164,39 @@ ChainVerifyCache::Entry* ChainVerifyCache::put_(
     // epochs would let the entry outlive that revocation.
     if (version != verified_at) return nullptr;
   }
-  auto [it, inserted] = map_.try_emplace(key);
-  if (inserted) {
-    lru_.push_front(key);
-    it->second.lru = lru_.begin();
+  auto it = map_.find(key);
+  if (it != map_.end()) {
+    // Stored again (two misses of one chain raced, or a future-dated pk
+    // chain was re-verified): one more use of the same entry.
+    refile_(it->second);
   } else {
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
+    // Evict before filing, so the victims' priorities raise L before the
+    // newcomer's is taken from it and the newcomer itself is never one.
+    while (map_.size() >= capacity_) {
+      const Order::iterator victim = order_.begin();
+      floor_ = victim->first.priority;
+      map_.erase(victim->second);
+      order_.erase(victim);
+      evictions_ += 1;
+    }
+    it = map_.try_emplace(key).first;
+    it->second.cost = cost;
+    it->second.uses = 1;
+    it->second.rank =
+        order_.emplace(Rank{floor_ + cost, ++filed_}, key).first;
   }
   Entry& entry = it->second;
   entry.cached_until = now + ttl_;
   entry.grantor_epochs = std::move(epochs);
   entry.revocation_version = version;
-  // The fresh entry sits at the LRU front, so with capacity >= 1 eviction
-  // never reaches it and `entry` stays valid.
-  while (map_.size() > capacity_) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-    evictions_ += 1;
-  }
   return &entry;
 }
 
 void ChainVerifyCache::clear() {
   std::lock_guard lock(mutex_);
   map_.clear();
-  lru_.clear();
+  order_.clear();
+  floor_ = 0;
 }
 
 ChainCacheStats ChainVerifyCache::stats() const {

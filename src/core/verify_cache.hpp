@@ -32,9 +32,20 @@
 //    effect on the very NEXT presentation, not the next TTL boundary;
 //    entries for untouched grantors stay warm.  An outcome whose
 //    verification overlapped a revocation event is not stored at all.
+//
+// Eviction is GreedyDual-Size-Frequency (Cao & Irani 1997; Cherkasova
+// 1998).  An entry's priority is L + min(uses, kMaxUses) x cost, where
+// `cost` is the verification work a hit skips and L is the priority of the
+// last entry evicted; the entry with the lowest priority goes first, the
+// least recently used among equals.  A public-key chain that misses costs
+// an Ed25519 verify per link, a Kerberos chain an AEAD open and a MAC, so
+// an order blind to cost spends the slots on cheap chains.  The frequency
+// term keeps an identity certificate that a bank sees on every request
+// ahead of the one-shot check chains beside it, and its cap lets an entry
+// that stops being presented age out as L rises.
 #pragma once
 
-#include <list>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -46,7 +57,17 @@ namespace rproxy::core {
 
 class ChainVerifyCache {
  public:
-  /// `capacity` bounds the number of cached chains (LRU eviction);
+  /// What one Ed25519 verify costs, in units of one symmetric link (an
+  /// AEAD open and a MAC).  A miss costs 1 + links for a Kerberos chain,
+  /// 1 + kSignatureCost x links for a public-key chain and
+  /// 1 + kSignatureCost for an identity certificate.
+  static constexpr std::uint64_t kSignatureCost = 16;
+  /// Uses counted towards an entry's priority; more add nothing, so an
+  /// entry that is no longer presented ages out.
+  static constexpr std::uint64_t kMaxUses = 16;
+
+  /// `capacity` bounds the number of cached entries (GreedyDual-Size-
+  /// Frequency eviction, above);
   /// `ttl` bounds how long one verification outcome may be reused;
   /// `revocation` (optional) makes warm entries observe revocation events
   /// immediately instead of waiting out the TTL.
@@ -113,6 +134,14 @@ class ChainVerifyCache {
       return h;
     }
   };
+  /// Eviction order: lowest priority first, then the least recently filed.
+  struct Rank {
+    std::uint64_t priority = 0;
+    std::uint64_t filed = 0;
+    auto operator<=>(const Rank&) const = default;
+  };
+  using Order = std::map<Rank, crypto::Digest>;
+
   struct Entry {
     /// The verified chain; nullopt in an identity-certificate entry, whose
     /// presence alone records that the signature verified.
@@ -134,21 +163,27 @@ class ChainVerifyCache {
     /// epoch walk entirely.
     std::vector<std::pair<PrincipalName, std::uint64_t>> grantor_epochs;
     std::uint64_t revocation_version = 0;
-    std::list<crypto::Digest>::iterator lru;
+    /// Verification work a hit skips, in symmetric links.
+    std::uint64_t cost = 0;
+    /// Presentations served or stored, capped at kMaxUses.
+    std::uint64_t uses = 0;
+    Order::iterator rank;
   };
 
   /// The entry under `key`, or nullptr when there is none or it was just
   /// dropped for expiry, TTL or a revocation epoch.  Counts no hit or miss
-  /// and leaves the LRU order alone.  mutex_ must be held.
+  /// and leaves the eviction order alone.  mutex_ must be held.
   [[nodiscard]] Entry* find_live_(const crypto::Digest& key,
                                   util::TimePoint now);
-  /// Moves `entry` to the LRU front and counts a hit.  mutex_ must be held.
-  void touch_(Entry& entry);
-  /// Inserts or refreshes the entry under `key` as most recently used,
-  /// records the epochs of `grantors`, and evicts beyond capacity; the
-  /// caller fills in the rest.  nullptr, and nothing stored, when the
+  /// Counts one more use of `entry` and re-files it at its new priority,
+  /// reusing its order node.  mutex_ must be held.
+  void refile_(Entry& entry);
+  /// Inserts or refreshes the entry under `key`, whose full verification
+  /// costs `cost`, records the epochs of `grantors`, and evicts to make room;
+  /// the caller fills in the rest.  nullptr, and nothing stored, when the
   /// registry moved past `verified_at`.  mutex_ must be held.
-  [[nodiscard]] Entry* put_(const crypto::Digest& key, util::TimePoint now,
+  [[nodiscard]] Entry* put_(const crypto::Digest& key, std::uint64_t cost,
+                            util::TimePoint now,
                             const std::vector<PrincipalName>& grantors,
                             std::uint64_t verified_at);
 
@@ -156,8 +191,12 @@ class ChainVerifyCache {
   util::Duration ttl_;
   const RevocationRegistry* revocation_;
   mutable std::mutex mutex_;
-  std::list<crypto::Digest> lru_;  ///< front = most recently used
   std::unordered_map<crypto::Digest, Entry, DigestHash> map_;
+  Order order_;  ///< begin() = next victim
+  /// GreedyDual's L: the priority of the last entry evicted.
+  std::uint64_t floor_ = 0;
+  /// Filing counter; breaks priority ties in favour of the newer filing.
+  std::uint64_t filed_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;

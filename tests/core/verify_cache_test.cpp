@@ -58,6 +58,12 @@ class VerifyCacheTest : public ::testing::Test {
     return proxy;
   }
 
+  /// Ed25519 verifications this process has run so far.
+  static std::uint64_t ed25519_verifies() {
+    const crypto::KeyCacheStats stats = crypto::key_cache_stats();
+    return stats.verify_hits + stats.verify_misses;
+  }
+
   World world_;
 };
 
@@ -161,6 +167,58 @@ TEST_F(VerifyCacheTest, CapacityBoundEvicts) {
   ASSERT_TRUE(
       verifier.verify_chain(proxies[0].chain, world_.clock.now()).is_ok());
   EXPECT_EQ(verifier.cache_stats().misses, 4u);
+}
+
+// --- Eviction order: what a hit saves, how often it is presented ---
+
+TEST_F(VerifyCacheTest, PublicKeyChainOutlivesSymmetricTraffic) {
+  world_.net.set_default_latency(0);
+  kdc::KdcClient client = world_.kdc_client("alice");
+  auto tgt = client.authenticate(8 * util::kHour);
+  ASSERT_TRUE(tgt.is_ok()) << tgt.status();
+  auto creds =
+      client.get_ticket(tgt.value(), "file-server", 8 * util::kHour);
+  ASSERT_TRUE(creds.is_ok()) << creds.status();
+
+  const core::ProxyVerifier verifier = make_verifier(4);
+  const core::Proxy pk = pk_chain(2, util::kHour);
+  ASSERT_TRUE(verifier.verify_chain(pk.chain, world_.clock.now()).is_ok());
+  // A stream of distinct Kerberos chains, each a miss that costs an AEAD
+  // open and a MAC, pushes far more than the capacity through the cache.
+  for (int i = 0; i < 30; ++i) {
+    const core::Proxy krb = core::grant_krb_proxy(
+        client, creds.value(), one_quota(static_cast<std::uint64_t>(i)),
+        world_.clock.now());
+    ASSERT_TRUE(verifier.verify_chain(krb.chain, world_.clock.now()).is_ok());
+  }
+  EXPECT_EQ(verifier.cache_stats().evictions, 27u);
+
+  // The chain whose miss costs two Ed25519 verifies is still warm.
+  const std::uint64_t hits = verifier.cache_stats().hits;
+  const std::uint64_t before = ed25519_verifies();
+  ASSERT_TRUE(verifier.verify_chain(pk.chain, world_.clock.now()).is_ok());
+  EXPECT_EQ(verifier.cache_stats().hits, hits + 1);
+  EXPECT_EQ(ed25519_verifies(), before);
+}
+
+TEST_F(VerifyCacheTest, AbandonedHotEntryAgesOut) {
+  const core::ProxyVerifier verifier = make_verifier(4);
+  const core::Proxy hot = pk_chain(1, util::kHour);
+  for (int i = 0; i <= 1000; ++i) {
+    ASSERT_TRUE(verifier.verify_chain(hot.chain, world_.clock.now()).is_ok());
+  }
+  EXPECT_EQ(verifier.cache_stats().hits, 1000u);
+
+  // Never presented again: fresh chains of the same cost raise L until the
+  // hot entry's capped priority is the lowest.
+  for (int i = 0; i < 200; ++i) {
+    const core::Proxy fresh = pk_chain(1, util::kHour);
+    ASSERT_TRUE(
+        verifier.verify_chain(fresh.chain, world_.clock.now()).is_ok());
+  }
+  const std::uint64_t misses = verifier.cache_stats().misses;
+  ASSERT_TRUE(verifier.verify_chain(hot.chain, world_.clock.now()).is_ok());
+  EXPECT_EQ(verifier.cache_stats().misses, misses + 1);
 }
 
 TEST_F(VerifyCacheTest, SymmetricChainWarmHit) {
@@ -368,12 +426,6 @@ class IdentityCertCacheTest : public VerifyCacheTest {
  protected:
   static constexpr std::size_t kCapacities[] = {1024, 0};
 
-  /// Ed25519 verifications this process has run so far.
-  static std::uint64_t ed25519_verifies() {
-    const crypto::KeyCacheStats stats = crypto::key_cache_stats();
-    return stats.verify_hits + stats.verify_misses;
-  }
-
   /// Presents `cert` with a fresh proof by alice's identity key at `now`.
   util::Result<std::vector<PrincipalName>> present(
       const core::ProxyVerifier& verifier, const pki::IdentityCert& cert,
@@ -414,6 +466,26 @@ TEST_F(IdentityCertCacheTest, WarmCertificateCostsOneVerifyNotTwo) {
     EXPECT_EQ(verifier.cache_stats().hits, capacity > 0 ? 3u : 0u);
     EXPECT_EQ(verifier.cache_stats().size, capacity > 0 ? 1u : 0u);
   }
+}
+
+TEST_F(IdentityCertCacheTest, ReusedIdentityCertificateOutlivesOneShotChains) {
+  // A bank's traffic: every request carries the delegate's identity
+  // certificate, beside a check chain that is presented once.
+  const pki::IdentityCert& cert = world_.principal("alice").cert;
+  const core::ProxyVerifier verifier = make_verifier(4);
+  std::uint64_t presentation_verifies = 0;
+  for (int round = 0; round < 100; ++round) {
+    const std::uint64_t before = ed25519_verifies();
+    auto who = present(verifier, cert, world_.clock.now());
+    ASSERT_TRUE(who.is_ok()) << who.status();
+    presentation_verifies += ed25519_verifies() - before;
+
+    const core::Proxy check = pk_chain(3, util::kHour);
+    ASSERT_TRUE(
+        verifier.verify_chain(check.chain, world_.clock.now()).is_ok());
+  }
+  // One proof signature per round; the certificate's signature once.
+  EXPECT_EQ(presentation_verifies, 100u + 1u);
 }
 
 TEST_F(IdentityCertCacheTest, TamperedCertificateGetsTheUncachedError) {

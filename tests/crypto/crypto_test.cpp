@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "crypto/aead.hpp"
 #include "crypto/digest.hpp"
 #include "crypto/hmac.hpp"
@@ -10,8 +14,31 @@ namespace rproxy::crypto {
 namespace {
 
 using util::Bytes;
+using util::from_hex;
 using util::to_bytes;
 using util::to_hex;
+
+// Known answers, checked against libcrypto directly.
+// HMAC-SHA-256, RFC 4868 test case AUTH256-1.
+const Bytes kAuth256Key(32, 0x0b);
+const Bytes kAuth256Data = to_bytes(std::string_view("Hi There"));
+constexpr std::string_view kAuth256Mac =
+    "198a607eb44bfbc69903a0f1cf2bbdc5ba0aa3f3d9ae3c1c7a3b1696a0b68cf7";
+
+// AES-256-GCM, test cases 13 and 14 of the GCM specification: a zero key
+// and a zero 96-bit IV, as aead_open's nonce || ciphertext || tag.
+const Bytes kGcmZeroKey(32, 0);
+Bytes gcm_box(std::string_view ciphertext_hex, std::string_view tag_hex) {
+  Bytes box(kNonceSize, 0);
+  const Bytes ciphertext = from_hex(ciphertext_hex);
+  const Bytes tag = from_hex(tag_hex);
+  box.insert(box.end(), ciphertext.begin(), ciphertext.end());
+  box.insert(box.end(), tag.begin(), tag.end());
+  return box;
+}
+const Bytes kGcmCase13 = gcm_box("", "530f8afbc74536b9a963b4f1c4cb738b");
+const Bytes kGcmCase14 = gcm_box("cea7403d4d606b6e074ec5d3baf39d18",
+                                 "d0d1c8a799996bf0265b98b5d48ab919");
 
 TEST(Digest, KnownVector) {
   // SHA-256("abc")
@@ -162,6 +189,119 @@ TEST(Aead, NonDeterministic) {
   const SymmetricKey k = SymmetricKey::generate();
   const Bytes p = to_bytes(std::string_view("same"));
   EXPECT_NE(aead_seal(k, p), aead_seal(k, p));  // fresh nonce each time
+}
+
+// --- Known answers through the per-thread contexts ---
+
+TEST(Hmac, Rfc4868Auth256Case1) {
+  const SymmetricKey key = SymmetricKey::from_bytes(kAuth256Key);
+  EXPECT_EQ(to_hex(hmac_sha256(key, kAuth256Data)), kAuth256Mac);
+  EXPECT_TRUE(hmac_verify(key, kAuth256Data, from_hex(kAuth256Mac)));
+}
+
+TEST(Aead, GcmSpecCase13) {
+  auto opened = aead_open(SymmetricKey::from_bytes(kGcmZeroKey), kGcmCase13);
+  ASSERT_TRUE(opened.is_ok()) << opened.status();
+  EXPECT_TRUE(opened.value().empty());
+}
+
+TEST(Aead, GcmSpecCase14) {
+  auto opened = aead_open(SymmetricKey::from_bytes(kGcmZeroKey), kGcmCase14);
+  ASSERT_TRUE(opened.is_ok()) << opened.status();
+  EXPECT_EQ(opened.value(), Bytes(16, 0));
+}
+
+TEST(CryptoContexts, FailedOpenLeavesTheNextCallExact) {
+  const SymmetricKey zero = SymmetricKey::from_bytes(kGcmZeroKey);
+  for (const Bytes& good : {kGcmCase13, kGcmCase14}) {
+    Bytes flipped = good;
+    flipped.back() ^= 0x01;  // one tag bit
+    EXPECT_EQ(aead_open(zero, flipped).code(),
+              util::ErrorCode::kBadSignature);
+    auto opened = aead_open(zero, good);
+    ASSERT_TRUE(opened.is_ok()) << opened.status();
+    EXPECT_EQ(opened.value(), Bytes(good.size() - kNonceSize - kTagSize, 0));
+
+    EXPECT_FALSE(aead_open(zero, flipped).is_ok());
+    EXPECT_EQ(to_hex(hmac_sha256(SymmetricKey::from_bytes(kAuth256Key),
+                                 kAuth256Data)),
+              kAuth256Mac);
+    EXPECT_FALSE(aead_open(zero, flipped).is_ok());
+    const Bytes plaintext = to_bytes(std::string_view("after a failure"));
+    auto round_trip = aead_open(zero, aead_seal(zero, plaintext));
+    ASSERT_TRUE(round_trip.is_ok()) << round_trip.status();
+    EXPECT_EQ(round_trip.value(), plaintext);
+  }
+}
+
+TEST(CryptoContexts, RejectedMacLeavesTheNextCallExact) {
+  const SymmetricKey key = SymmetricKey::from_bytes(kAuth256Key);
+  Bytes wrong = from_hex(kAuth256Mac);
+  wrong[0] ^= 0x80;
+  EXPECT_FALSE(hmac_verify(key, kAuth256Data, wrong));
+  EXPECT_EQ(to_hex(hmac_sha256(key, kAuth256Data)), kAuth256Mac);
+
+  EXPECT_FALSE(hmac_verify(key, kAuth256Data, wrong));
+  auto opened = aead_open(SymmetricKey::from_bytes(kGcmZeroKey), kGcmCase14);
+  ASSERT_TRUE(opened.is_ok()) << opened.status();
+  EXPECT_EQ(opened.value(), Bytes(16, 0));
+}
+
+TEST(CryptoContexts, ConcurrentCallsMatchSingleThreadedOutputs) {
+  // Inputs and expected outputs, computed on this thread first.
+  constexpr std::size_t kInputs = 32;
+  std::vector<SymmetricKey> keys;
+  std::vector<Bytes> messages;
+  std::vector<Digest> digests;
+  std::vector<Bytes> macs;
+  std::vector<Bytes> boxes;
+  DeterministicRng rng(2025);
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    Bytes key(32);
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng.next_u64());
+    keys.push_back(SymmetricKey::from_bytes(key));
+    Bytes message(i * 37 % 300);
+    for (auto& b : message) b = static_cast<std::uint8_t>(rng.next_u64());
+    messages.push_back(message);
+    digests.push_back(sha256(message));
+    macs.push_back(hmac_sha256(keys[i], message));
+    boxes.push_back(aead_seal(keys[i], message));
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 10000;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      DeterministicRng pick(static_cast<std::uint64_t>(t) + 1);
+      for (int call = 0; call < kCalls; ++call) {
+        const std::size_t i = pick.next_below(kInputs);
+        bool ok = true;
+        switch (pick.next_below(4)) {
+          case 0:
+            ok = sha256(messages[i]) == digests[i];
+            break;
+          case 1:
+            ok = hmac_sha256(keys[i], messages[i]) == macs[i];
+            break;
+          case 2: {
+            auto opened = aead_open(keys[i], aead_seal(keys[i], messages[i]));
+            ok = opened.is_ok() && opened.value() == messages[i];
+            break;
+          }
+          default: {
+            auto opened = aead_open(keys[i], boxes[i]);
+            ok = opened.is_ok() && opened.value() == messages[i];
+            break;
+          }
+        }
+        if (!ok) mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(Signature, SignVerifyRoundTrip) {
