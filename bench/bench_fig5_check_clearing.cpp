@@ -32,8 +32,11 @@ struct ClearingWorld {
     // drawee via bank_{i+1}.
     const PrincipalName drawee = "bank" + std::to_string(hops);
     for (std::int64_t i = 0; i + 1 < hops; ++i) {
-      banks[static_cast<std::size_t>(i)]->set_route(
-          drawee, "bank" + std::to_string(i + 1));
+      if (!banks[static_cast<std::size_t>(i)]
+               ->set_route(drawee, "bank" + std::to_string(i + 1))
+               .is_ok()) {
+        state.SkipWithError("set_route failed");
+      }
     }
     banks.front()->open_account("merchant-acct", "merchant");
     banks.back()->open_account("client-acct", "client",

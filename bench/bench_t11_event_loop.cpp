@@ -10,16 +10,17 @@
 //      gets a server of its own (Setup/Teardown), so no row inherits
 //      another's connections or parked threads.
 //
-//   2. Durability: FsyncPolicy::kGroup recovers most of the every-record
-//      fsync tax once writers are concurrent — N parked committers share
-//      one barrier, so durable throughput grows with N instead of
+//   2. Durability: group commit recovers most of the per-record fsync
+//      tax once writers are concurrent — N parked committers share one
+//      barrier, so durable throughput grows with N instead of
 //      serializing on the disk.  Every reply still leaves only after the
 //      fsync covering its record (the recovery tests prove the ordering;
 //      this file prices it).
 //
-// Compare items_per_second across /threads:N and between every_record and
-// group rows.  avg_group on the group rows shows how many records one
-// fsync amortized.
+// Compare items_per_second across /threads:N, and on the raw journal rows
+// between committing under the append lock (one writer per fsync, as a
+// flush inside every append would be) and after releasing it.  avg_group
+// shows how many records one fsync amortized.
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -151,118 +152,108 @@ BENCHMARK(BM_LoopEcho)
 // ---------------------------------------------------------------------------
 // Journal: raw group commit vs per-record fsync under concurrent writers.
 
+/// The writer of the row being run, rebuilt for each thread-count run.
+struct JournalShared {
+  rproxy::testing::TempDir dir;
+  std::mutex append_mutex;
+  util::Result<storage::JournalWriter> writer =
+      storage::JournalWriter::create(dir.sub("bench.wal"), 1, {});
+};
+std::unique_ptr<JournalShared> journal_shared;
+
+void start_journal(const benchmark::State& /*state*/) {
+  journal_shared = std::make_unique<JournalShared>();
+  if (!journal_shared->writer.is_ok()) std::abort();
+}
+void stop_journal(const benchmark::State& /*state*/) {
+  journal_shared.reset();
+}
+
 /// N threads in lockstep: append under a caller mutex (the accounting
-/// server's discipline), then make the record durable.  Arg: 0 =
-/// every_record (fsync inside append), 1 = group (commit parks on the
-/// shared barrier).
+/// server's discipline), then commit the record.  Arg: 0 = commit while
+/// still holding the append mutex, so no other writer can join the
+/// group; 1 = commit after releasing it (the server's way), so parked
+/// committers share one barrier.
 void BM_JournalDurableAppend(benchmark::State& state) {
-  const bool group = state.range(0) == 1;
-  // Shared across the bench threads; rebuilt for each thread-count run.
-  struct Shared {
-    rproxy::testing::TempDir dir;
-    std::mutex append_mutex;
-    util::Result<storage::JournalWriter> writer;
-    explicit Shared(bool group)
-        : writer(storage::JournalWriter::create(
-              dir.sub("bench.wal"), 1,
-              storage::JournalWriter::Config{
-                  .fsync_policy = group ? storage::FsyncPolicy::kGroup
-                                        : storage::FsyncPolicy::kEveryRecord,
-                  .batch_records = 8,
-                  .crash = nullptr})) {}
-  };
-  static Shared* shared = nullptr;
-  if (state.thread_index() == 0) {
-    shared = new Shared(group);
-    if (!shared->writer.is_ok()) {
-      state.SkipWithError("journal create failed");
-      return;
-    }
-  }
+  const bool after_unlock = state.range(0) == 1;
+  JournalShared& shared = *journal_shared;
+  storage::JournalWriter& writer = shared.writer.value();
   const util::Bytes payload(256, 0x5A);
   for (auto _ : state) {
-    std::uint64_t lsn = 0;
-    {
-      std::lock_guard lock(shared->append_mutex);
-      auto appended = shared->writer.value().append(1, payload);
-      if (!appended.is_ok()) {
-        state.SkipWithError("append failed");
-        return;
-      }
-      lsn = appended.value();
+    std::unique_lock lock(shared.append_mutex);
+    auto appended = writer.append(1, payload);
+    if (!appended.is_ok()) {
+      state.SkipWithError("append failed");
+      return;
     }
-    auto committed = shared->writer.value().commit(lsn);
-    if (!committed.is_ok()) {
+    if (after_unlock) lock.unlock();
+    if (!writer.commit(appended.value()).is_ok()) {
       state.SkipWithError("commit failed");
       return;
     }
   }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
-    const auto stats = shared->writer.value().group_stats();
+    const auto stats = writer.group_stats();
     if (stats.fsyncs > 0) {
       state.counters["avg_group"] = benchmark::Counter(
           static_cast<double>(stats.committed) /
           static_cast<double>(stats.fsyncs));
     }
-    delete shared;
-    shared = nullptr;
   }
-  state.SetLabel(group ? "group" : "every_record");
+  state.SetLabel(after_unlock ? "commit_after_unlock" : "commit_under_lock");
 }
 BENCHMARK(BM_JournalDurableAppend)
-    ->ArgName("policy")
+    ->ArgName("after_unlock")
     ->Arg(0)
     ->Arg(1)
     ->Threads(1)
     ->Threads(8)
     ->Threads(16)
+    ->Setup(start_journal)
+    ->Teardown(stop_journal)
     ->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // End to end: authenticated transfers over TCP against a storage-backed
-// bank — the acceptance row.  Arg: 0 = every_record, 1 = group.
+// bank — the acceptance row.
 
+/// The bank of the row being run, rebuilt for each thread-count run.
 struct DurableWorld {
   testing::World world;
   rproxy::testing::TempDir dir;
   std::unique_ptr<accounting::AccountingServer> bank;
-  net::EventLoopServer loop;
-
-  explicit DurableWorld(storage::FsyncPolicy policy)
-      : loop(net::EventLoopServer::Options{
-            .workers = 16, .idle_timeout = 0, .max_pipeline = 128}) {
-    world.add_principal("alice");
-    world.add_principal("bank");
-    auto config = world.accounting_config("bank");
-    config.storage_dir = dir.sub("bank");
-    config.storage_key = crypto::SymmetricKey::generate();
-    config.fsync_policy = policy;
-    bank = std::make_unique<accounting::AccountingServer>(std::move(config));
-    if (!bank->recover().is_ok()) std::abort();
-    bank->open_account("a", "alice",
-                       accounting::Balances{{"usd", 1LL << 40}});
-    bank->open_account("b", "alice");
-    loop.attach("bank", *bank);
-    if (!loop.start().is_ok()) std::abort();
-  }
+  net::EventLoopServer loop{net::EventLoopServer::Options{
+      .workers = 16, .idle_timeout = 0, .max_pipeline = 128}};
 };
+std::unique_ptr<DurableWorld> durable_world;
 
-DurableWorld& durable_world(bool group) {
-  static DurableWorld* every = new DurableWorld(
-      storage::FsyncPolicy::kEveryRecord);
-  static DurableWorld* grouped =
-      new DurableWorld(storage::FsyncPolicy::kGroup);
-  return group ? *grouped : *every;
+void start_durable(const benchmark::State& /*state*/) {
+  durable_world = std::make_unique<DurableWorld>();
+  DurableWorld& w = *durable_world;
+  w.world.add_principal("alice");
+  w.world.add_principal("bank");
+  auto config = w.world.accounting_config("bank");
+  config.storage_dir = w.dir.sub("bank");
+  config.storage_key = crypto::SymmetricKey::generate();
+  w.bank = std::make_unique<accounting::AccountingServer>(std::move(config));
+  if (!w.bank->recover().is_ok()) std::abort();
+  w.bank->open_account("a", "alice",
+                       accounting::Balances{{"usd", 1LL << 40}});
+  w.bank->open_account("b", "alice");
+  w.loop.attach("bank", *w.bank);
+  if (!w.loop.start().is_ok()) std::abort();
+}
+void stop_durable(const benchmark::State& /*state*/) {
+  durable_world.reset();
 }
 
 /// One full durable mutation per item: challenge round trip, signed
 /// transfer, journaled posting, reply released only once its record is
 /// covered by a completed fsync.  N bench threads = N concurrent durable
-/// writers sharing (under kGroup) the commit barrier.
+/// writers sharing the commit barrier.
 void BM_DurableTransferConcurrent(benchmark::State& state) {
-  const bool group = state.range(0) == 1;
-  DurableWorld& w = durable_world(group);
+  DurableWorld& w = *durable_world;
   net::TcpClient client;
   const util::Status connected =
       client.connect("127.0.0.1", w.loop.port());
@@ -312,7 +303,7 @@ void BM_DurableTransferConcurrent(benchmark::State& state) {
     benchmark::DoNotOptimize(reply);
   }
   state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0 && group) {
+  if (state.thread_index() == 0) {
     const auto stats = w.bank->journal_group_stats();
     if (stats.fsyncs > 0) {
       state.counters["avg_group"] = benchmark::Counter(
@@ -320,16 +311,13 @@ void BM_DurableTransferConcurrent(benchmark::State& state) {
           static_cast<double>(stats.fsyncs));
     }
   }
-  state.SetLabel(group ? "group" : "every_record");
 }
-// Acceptance: /threads:8 group >= 5x /threads:8 every_record.
 BENCHMARK(BM_DurableTransferConcurrent)
-    ->ArgName("policy")
-    ->Arg(0)
-    ->Arg(1)
     ->Threads(1)
     ->Threads(8)
     ->Threads(16)
+    ->Setup(start_durable)
+    ->Teardown(stop_durable)
     ->UseRealTime();
 
 }  // namespace

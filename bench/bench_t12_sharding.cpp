@@ -114,7 +114,6 @@ struct ShardedBenchWorld {
       if (durable) {
         config.storage_dir = tmp.sub(shard_name(i));
         config.storage_key = crypto::SymmetricKey::generate();
-        config.fsync_policy = storage::FsyncPolicy::kEveryRecord;
       }
       shards.push_back(std::make_unique<accounting::AccountingServer>(
           std::move(config)));

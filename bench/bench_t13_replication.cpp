@@ -9,15 +9,11 @@
 //       per-RPC framing.  The committed-tail read costs O(frames
 //       shipped) per round (the journal's frame index), so it no longer
 //       favours big batches.
-//   BM_SemiSyncTransfer/standbys:{0,1,2}/fsync:{batch,every,group}
+//   BM_SemiSyncTransfer/standbys:{0,1,2}
 //       the price of durability-before-ack: a full authenticated transfer
-//       through the replication barrier.  standbys:0 is the async
-//       baseline; each standby adds one ship round trip to every reply.
-//       The fsync axis prices replication lag against the fsync policy:
-//       under kBatch the shipper sees nothing until the batch syncs, so
-//       the barrier must force the sync itself (lag collapses into the
-//       reply path); under kEveryRecord the watermark is always current
-//       and the barrier ships without forcing.
+//       through the group commit and the replication barrier.  standbys:0
+//       is the async baseline; each standby adds one ship round trip to
+//       every reply.
 //   BM_PromotionCatchup/frames:{64,256}
 //       takeover cost after the failure detector fires: promote a warm
 //       standby holding `frames` received-but-unapplied records and drain
@@ -61,7 +57,6 @@ struct PrimaryFixture {
     auto config = world.accounting_config("bank");
     config.storage_dir = tmp.sub("bank");
     config.storage_key = key;
-    config.fsync_policy = storage::FsyncPolicy::kBatch;
     primary = std::make_unique<AccountingServer>(std::move(config));
     if (!primary->recover().is_ok()) std::abort();
     world.net.attach("bank", *primary);
@@ -129,10 +124,6 @@ BENCHMARK(BM_JournalShipCatchup)
 
 void BM_SemiSyncTransfer(benchmark::State& state) {
   const int standbys = static_cast<int>(state.range(0));
-  const storage::FsyncPolicy policy =
-      state.range(1) == 0   ? storage::FsyncPolicy::kBatch
-      : state.range(1) == 1 ? storage::FsyncPolicy::kEveryRecord
-                            : storage::FsyncPolicy::kGroup;
   World world;
   rproxy::testing::TempDir tmp;
   const crypto::SymmetricKey key = crypto::SymmetricKey::generate();
@@ -142,7 +133,6 @@ void BM_SemiSyncTransfer(benchmark::State& state) {
   auto config = world.accounting_config("bank");
   config.storage_dir = tmp.sub("bank");
   config.storage_key = key;
-  config.fsync_policy = policy;
   config.replication_barrier = [&shipper](std::uint64_t lsn) {
     return shipper ? shipper->ship_until(lsn) : util::Status::ok();
   };
@@ -196,12 +186,10 @@ void BM_SemiSyncTransfer(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_SemiSyncTransfer)
-    ->ArgNames({"standbys", "fsync"})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({1, 1})
-    ->Args({1, 2})
+    ->ArgName("standbys")
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_PromotionCatchup(benchmark::State& state) {

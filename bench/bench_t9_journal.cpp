@@ -1,11 +1,11 @@
 // T9 — cost of crash durability (DESIGN.md §5e, EXPERIMENTS.md T9).
 //
-// Three questions: (1) raw write-ahead journal append throughput under each
-// fsync policy — the disk tax every durable mutation pays; (2) what a
-// served mutation costs end-to-end with the journal off, batched, and
-// fsync-per-record — the policy knob a deployment actually turns; (3) how
-// long recovery takes as a function of journal length — the price of a
-// long tail between checkpoints, and the reason checkpoint() exists.
+// Three questions: (1) raw write-ahead journal append throughput by how
+// often the writer commits — the disk tax every durable mutation pays;
+// (2) what a served mutation costs end-to-end with the journal off and
+// on; (3) how long recovery takes as a function of journal length — the
+// price of a long tail between checkpoints, and the reason checkpoint()
+// exists.
 #include <filesystem>
 #include <string>
 
@@ -17,59 +17,65 @@ namespace {
 
 using namespace rproxy;
 
-storage::FsyncPolicy policy_for(std::int64_t arg) {
+/// Records per commit for BM_JournalAppend's arg: 0 = never commit (the
+/// page cache decides), 1 = a commit every 8 records, 2 = every record.
+std::int64_t commit_every(std::int64_t arg) {
   switch (arg) {
     case 0:
-      return storage::FsyncPolicy::kNever;
+      return 0;
     case 1:
-      return storage::FsyncPolicy::kBatch;
+      return 8;
     default:
-      return storage::FsyncPolicy::kEveryRecord;
+      return 1;
   }
 }
 
-const char* policy_name(std::int64_t arg) {
+const char* commit_label(std::int64_t arg) {
   switch (arg) {
     case 0:
-      return "never";
+      return "append_only";
     case 1:
-      return "batch";
+      return "commit_every_8";
     default:
-      return "every_record";
+      return "commit_every_record";
   }
 }
 
-/// Raw journal appends of a 256-byte payload.  Arg 0/1/2 = fsync policy
-/// never/batch(8)/every_record.
+/// Raw journal appends of a 256-byte payload, one writer, committing as
+/// often as the arg says (commit_every).
 void BM_JournalAppend(benchmark::State& state) {
   rproxy::testing::TempDir dir;
-  storage::JournalWriter::Config config;
-  config.fsync_policy = policy_for(state.range(0));
-  config.batch_records = 8;
-  auto writer =
-      storage::JournalWriter::create(dir.sub("bench.wal"), 1, config);
+  auto writer = storage::JournalWriter::create(dir.sub("bench.wal"), 1, {});
   if (!writer.is_ok()) {
     state.SkipWithError("journal create failed");
     return;
   }
+  const std::int64_t every = commit_every(state.range(0));
   const util::Bytes payload(256, 0x5A);
+  std::int64_t appended = 0;
   for (auto _ : state) {
-    auto status = writer.value().append(1, payload);
-    benchmark::DoNotOptimize(status);
-    if (!status.is_ok()) {
+    auto lsn = writer.value().append(1, payload);
+    if (!lsn.is_ok()) {
       state.SkipWithError("append failed");
+      return;
+    }
+    appended += 1;
+    if (every > 0 && appended % every == 0 &&
+        !writer.value().commit(lsn.value()).is_ok()) {
+      state.SkipWithError("commit failed");
       return;
     }
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(payload.size()));
-  state.SetLabel(policy_name(state.range(0)));
+  state.SetLabel(commit_label(state.range(0)));
 }
 BENCHMARK(BM_JournalAppend)->Arg(0)->Arg(1)->Arg(2);
 
 /// A served local transfer (full challenge + signed request + journaled
-/// mutation + reply).  Arg -1 = storage off; 0/1/2 = fsync policy.  The
-/// delta against -1 is the total durability tax on the serving path.
+/// mutation + reply).  Arg 0 = storage off; 1 = journaled, the reply
+/// leaving after its group commit.  The delta is the total durability
+/// tax on the serving path.
 void BM_DurableTransfer(benchmark::State& state) {
   testing::World world;
   world.add_principal("alice");
@@ -77,10 +83,10 @@ void BM_DurableTransfer(benchmark::State& state) {
   world.net.set_default_latency(0);
   rproxy::testing::TempDir dir;
   auto config = world.accounting_config("bank");
-  if (state.range(0) >= 0) {
+  const bool journaled = state.range(0) == 1;
+  if (journaled) {
     config.storage_dir = dir.sub("bank");
     config.storage_key = crypto::SymmetricKey::generate();
-    config.fsync_policy = policy_for(state.range(0));
   }
   accounting::AccountingServer bank(std::move(config));
   if (!bank.recover().is_ok()) {
@@ -100,10 +106,9 @@ void BM_DurableTransfer(benchmark::State& state) {
       return;
     }
   }
-  state.SetLabel(state.range(0) < 0 ? "no_journal"
-                                    : policy_name(state.range(0)));
+  state.SetLabel(journaled ? "journaled" : "no_journal");
 }
-BENCHMARK(BM_DurableTransfer)->Arg(-1)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_DurableTransfer)->Arg(0)->Arg(1);
 
 /// Full AccountingServer::recover() against a journal of N records (no
 /// snapshot): scan + CRC + decode + re-apply.  Linear in N — this is what
@@ -118,7 +123,6 @@ void BM_RecoveryReplay(benchmark::State& state) {
     auto config = world.accounting_config("bank");
     config.storage_dir = dir.sub("bank");
     config.storage_key = key;
-    config.fsync_policy = storage::FsyncPolicy::kNever;
     return config;
   };
   {

@@ -830,7 +830,8 @@ void AccountingServer::open_account(const std::string& local_name,
                                     Balances initial) {
   std::lock_guard lock(state_mutex_);
   // Setup API: a journal failure here marks the server storage-dead (it
-  // will refuse all requests), which is all a void API can do.
+  // will refuse all requests), which is all a void API can do.  The
+  // record stays staged until the next commit.
   (void)apply_and_journal_(
       AccountOpenRecord{local_name, owner, std::move(initial)});
 }
@@ -1100,14 +1101,14 @@ util::Status AccountingServer::restore_(const crypto::SymmetricKey& key,
 }
 
 namespace {
-/// Highest LSN this serving thread appended under FsyncPolicy::kGroup but
-/// has not yet committed.  Thread-local because the append happens deep
-/// inside a handler (under state_mutex_) while the commit must happen in
-/// handle() AFTER the lock is released — parking on the group barrier
-/// with the state mutex held would serialize every handler on the fsync,
-/// which is exactly what group commit exists to avoid.  LSNs are assigned
-/// monotonically under state_mutex_, so when a handler appends several
-/// records the last LSN covers them all.
+/// Highest LSN this serving thread appended but has not yet committed.
+/// Thread-local because the append happens deep inside a handler (under
+/// state_mutex_) while the commit must happen in handle() AFTER the lock
+/// is released — parking on the group barrier with the state mutex held
+/// would serialize every handler on the fsync, which is exactly what
+/// group commit exists to avoid.  LSNs are assigned monotonically under
+/// state_mutex_, so when a handler appends several records the last LSN
+/// covers them all.
 thread_local std::uint64_t t_uncommitted_lsn = 0;
 }  // namespace
 
@@ -1134,15 +1135,13 @@ util::Status AccountingServer::journal_append_(const Record& record) {
     storage_dead_.store(true);
     return lsn.status();
   }
-  if (config_.fsync_policy == storage::FsyncPolicy::kGroup) {
-    t_uncommitted_lsn = lsn.value();
-  }
+  t_uncommitted_lsn = lsn.value();
   return util::Status::ok();
 }
 
 template <typename Body>
 util::Status AccountingServer::journaled_call_(Body&& body) {
-  // Clear any LSN an earlier open_account/set_route left on this thread
+  // Clear any LSN an earlier open_account left on this thread
   // (possibly on another server's journal), exactly as handle() does, so
   // only this call's records are committed below.
   t_uncommitted_lsn = 0;
@@ -1161,8 +1160,6 @@ util::Status AccountingServer::recover() {
   }
   storage::LogDir::Config log_config;
   log_config.dir = config_.storage_dir;
-  log_config.journal.fsync_policy = config_.fsync_policy;
-  log_config.journal.batch_records = config_.fsync_batch_records;
   log_config.journal.crash = config_.crash_point;
   storage::LogDir::Recovered recovered;
   RPROXY_ASSIGN_OR_RETURN(storage::LogDir log,
@@ -1224,6 +1221,8 @@ util::Status AccountingServer::checkpoint() {
   if (!published.is_ok()) storage_dead_.store(true);
   return published;
 }
+
+util::Status AccountingServer::sync() { return commit_appended_().status(); }
 
 storage::JournalWriter::GroupStats AccountingServer::journal_group_stats()
     const {
@@ -1347,12 +1346,10 @@ void AccountingServer::set_replication_barrier(
 
 // --------------------------------------------------------------------------
 
-void AccountingServer::set_route(const PrincipalName& drawee,
-                                 const PrincipalName& via) {
-  std::lock_guard lock(state_mutex_);
-  // Setup API: a journal failure here marks the server storage-dead (it
-  // will refuse all requests), which is all a void API can do.
-  (void)apply_and_journal_(RouteSetRecord{drawee, via});
+util::Status AccountingServer::set_route(const PrincipalName& drawee,
+                                         const PrincipalName& via) {
+  return journaled_call_(
+      [&] { return apply_and_journal_(RouteSetRecord{drawee, via}); });
 }
 
 util::Status AccountingServer::migration_freeze(const MigrationSpec& spec) {
@@ -1543,7 +1540,7 @@ net::Envelope AccountingServer::handle(const net::Envelope& request) {
   // thread-local (set inside journal_append_ under state_mutex_); the
   // commit itself runs HERE, outside the lock, so concurrent handlers
   // park on one shared fsync instead of serializing the whole server.
-  t_uncommitted_lsn = 0;  // open_account/set_route may have left a residue
+  t_uncommitted_lsn = 0;  // open_account may have left a residue
   net::Envelope reply = handle_dispatch_(request);
   if (!commit_pending_().is_ok()) {
     // The record may or may not be on disk; the in-memory mutation is
@@ -1609,51 +1606,41 @@ bool AccountingServer::may_block(net::MsgType type) const {
   }
 }
 
+util::Result<std::uint64_t> AccountingServer::commit_appended_() {
+  std::uint64_t target = 0;
+  {
+    std::lock_guard lock(state_mutex_);
+    if (!log_.has_value()) return target;
+    // Storage died since the caller's own commit: records of other
+    // handlers that a reply may have seen can no longer be made durable.
+    if (storage_dead_.load()) {
+      return util::fail(ErrorCode::kUnavailable,
+                        "accounting storage already failed");
+    }
+    target = log_->next_lsn() - 1;
+  }
+  // Commit through the shared group barrier, outside state_mutex_, so
+  // concurrent barriers and handle()'s own commits share one fsync.
+  const util::Status committed = log_->commit(target);
+  if (!committed.is_ok()) {
+    storage_dead_.store(true);
+    return committed;
+  }
+  return target;
+}
+
 util::Status AccountingServer::replication_barrier_(
     const std::function<util::Status(std::uint64_t)>& barrier) {
   // The target is every record appended so far — by this handler or by
   // another one still on its way to commit — since the reply may have seen
   // any of them.  The shipper only sends fsync-covered records (shipped ⊆
-  // fsynced), so the target is made durable first.
-  const bool group = config_.fsync_policy == storage::FsyncPolicy::kGroup;
-  std::uint64_t target = 0;
-  {
-    std::lock_guard lock(state_mutex_);
-    if (log_.has_value()) {
-      // Storage died since this reply's own commit: records of other
-      // handlers that the reply may have seen can no longer be made
-      // durable.
-      if (storage_dead_.load()) {
-        return util::fail(ErrorCode::kUnavailable,
-                          "accounting storage already failed");
-      }
-      target = log_->next_lsn() - 1;
-      // kNever/kBatch make no per-record promise: force the watermark
-      // forward here.  (kEveryRecord is always durable through target.)
-      if (!group && log_->durable_lsn() < target) {
-        const util::Status synced = log_->sync();
-        if (!synced.is_ok()) {
-          storage_dead_.store(true);
-          return synced;
-        }
-      }
-    }
-  }
-  // kGroup commits through the shared group barrier, outside state_mutex_,
-  // so concurrent barriers and handle()'s own commits share one fsync.
-  // handle() has already committed this reply's own records, so this
-  // commit waits only for what other handlers appended meanwhile.  (Making
-  // it the reply's only commit measured slower on clearing, with more ship
-  // rounds per write.)
+  // fsynced), so the target is made durable first.  handle() has already
+  // committed this reply's own records, so this commit waits only for what
+  // other handlers appended meanwhile.  (Making it the reply's only commit
+  // measured slower on clearing, with more ship rounds per write.)
   // The shipper's wait runs outside the lock too: its RPCs (and a
   // simulated network's nested handlers) must not stall local handlers.
-  if (group && target > 0) {
-    const util::Status committed = log_->commit(target);
-    if (!committed.is_ok()) {
-      storage_dead_.store(true);
-      return committed;
-    }
-  }
+  RPROXY_ASSIGN_OR_RETURN(const std::uint64_t target, commit_appended_());
   return barrier(target);
 }
 

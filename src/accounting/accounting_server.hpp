@@ -262,14 +262,17 @@ class AccountingServer final : public net::Node {
     /// dedup tables; retries only fire on transport errors.
     net::RetryPolicy collect_retry;
     /// Crash durability: when non-empty, recover() opens a write-ahead
-    /// journal + snapshot store here and every mutation is journaled
-    /// before its reply is sent.  Empty = in-memory only (tests,
-    /// benchmarks that don't care about restarts).
+    /// journal + snapshot store here, every mutation is journaled, and a
+    /// reply leaves only after a group commit made its records durable.
+    /// Setup calls that return void stay staged until the next commit,
+    /// sync() or checkpoint().  Empty = in-memory only (tests, benchmarks
+    /// that don't care about restarts).
     std::string storage_dir;
     /// Seals on-disk snapshots; required when storage_dir is set.
     std::optional<crypto::SymmetricKey> storage_key;
-    storage::FsyncPolicy fsync_policy = storage::FsyncPolicy::kBatch;
-    std::size_t fsync_batch_records = 8;
+    /// Unread: every journal group-commits.  Kept only because the
+    /// end-to-end benchmark's deployment still assigns it.
+    storage::FsyncPolicy fsync_policy = storage::FsyncPolicy::kGroup;
     /// Test-only deterministic kill injection for the journal; not owned.
     storage::CrashPoint* crash_point = nullptr;
     /// Shared revocation registry: check verification consults it, and —
@@ -301,7 +304,13 @@ class AccountingServer final : public net::Node {
   explicit AccountingServer(Config config);
   ~AccountingServer() override;
 
-  /// Opens (or replaces) an account.
+  /// Opens (or replaces) an account.  The record is journaled but staged:
+  /// it becomes durable (and shippable) with the next commit, sync() or
+  /// checkpoint(), so bring-up opens any number of accounts for one
+  /// fsync.  A crash before then loses the account.  Returning only once
+  /// the record is durable waits for a batch form of this call that the
+  /// end-to-end benchmark's bring-up can use: one commit per account
+  /// would cost one fsync each.
   void open_account(const std::string& local_name,
                     const PrincipalName& owner, Balances initial = {});
   /// Direct account access for setup and single-threaded inspection.  The
@@ -313,8 +322,9 @@ class AccountingServer final : public net::Node {
 
   /// Clearing route override: checks drawn on `drawee` are collected via
   /// `via` instead of directly (models correspondent-banking chains; used
-  /// by the Fig 5 hop sweep).
-  void set_route(const PrincipalName& drawee, const PrincipalName& via);
+  /// by the Fig 5 hop sweep).  Journaled and durable when it returns OK.
+  [[nodiscard]] util::Status set_route(const PrincipalName& drawee,
+                                       const PrincipalName& via);
 
   /// Sealed state snapshot: every account (name, owner, balances), the
   /// outstanding certified holds, the clearing routes, and the
@@ -346,6 +356,11 @@ class AccountingServer final : public net::Node {
   /// a recovered storage dir.
   [[nodiscard]] util::Status checkpoint();
 
+  /// One group commit of everything appended so far: ends a bring-up
+  /// whose staged setup records (open_account) must be durable, or
+  /// shippable, without a snapshot.  No-op without storage.
+  [[nodiscard]] util::Status sync();
+
   /// True once a journal append or sync has failed (crash point fired or
   /// real I/O error).  The server then refuses all requests — a process
   /// whose write-ahead log is gone must stop taking work, because it can
@@ -355,8 +370,8 @@ class AccountingServer final : public net::Node {
   /// LSN the next journaled mutation will get (1 if storage is off).
   [[nodiscard]] std::uint64_t journal_next_lsn() const;
 
-  /// Group-commit counters of the active journal (all zero unless
-  /// Config::fsync_policy is storage::FsyncPolicy::kGroup).
+  /// Group-commit counters of the active journal (all zero without
+  /// storage; reset when a checkpoint rotates the journal).
   [[nodiscard]] storage::JournalWriter::GroupStats journal_group_stats()
       const;
 
@@ -550,9 +565,8 @@ class AccountingServer final : public net::Node {
       const Operation& right);
 
   /// The type dispatch behind handle(); handle() wraps it with the
-  /// storage-dead refusal and the group-commit barrier (under
-  /// FsyncPolicy::kGroup no reply leaves before the fsync covering the
-  /// records the handler appended).
+  /// storage-dead refusal and the group-commit barrier (no reply leaves
+  /// before the fsync covering the records the handler appended).
   [[nodiscard]] net::Envelope handle_dispatch_(const net::Envelope& request);
 
   [[nodiscard]] net::Envelope handle_query_(const net::Envelope& request);
@@ -618,12 +632,16 @@ class AccountingServer final : public net::Node {
                                       const PrincipalName& expected_server);
 
   /// Runs the loaded replication barrier for a reply that is about to
-  /// leave: makes everything appended so far durable (a sync under
-  /// kNever/kBatch; under kGroup a commit through the shared group
-  /// barrier, outside state_mutex_), then waits for standby acks of it.
-  /// Call with state_mutex_ released.
+  /// leave: commits everything appended so far (commit_appended_()), then
+  /// waits for standby acks of it.  Call with state_mutex_ released.
   [[nodiscard]] util::Status replication_barrier_(
       const std::function<util::Status(std::uint64_t)>& barrier);
+
+  /// One group commit of every record appended so far, by any thread,
+  /// through the shared barrier outside state_mutex_; returns the LSN it
+  /// covered (0 without storage).  Marks the server storage-dead if the
+  /// commit fails.  Call with state_mutex_ released.
+  [[nodiscard]] util::Result<std::uint64_t> commit_appended_();
 
   /// THE route to a ledger mutation (state_mutex_ held): runs `record`'s
   /// applier and, if it succeeds, appends the record to the journal.  A

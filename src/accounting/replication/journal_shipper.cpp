@@ -129,7 +129,7 @@ void JournalShipper::ship_standby_(const PrincipalName& standby,
 }
 
 util::Status JournalShipper::ship_until(std::uint64_t lsn) {
-  // Leader/follower, in the shape of JournalWriter::commit's kGroup
+  // Leader/follower, in the shape of JournalWriter::commit's group
   // barrier: one round in flight serves every caller.  A caller that finds
   // no round running leads one (mutex_ released across its I/O); the rest
   // park until it ends and check again.  Each round a caller sees end

@@ -37,19 +37,33 @@ AuditRecord AuditRecord::decode(wire::Decoder& dec) {
 }
 
 void AuditLog::append(AuditRecord record) {
-  std::lock_guard lock(mutex_);
-  if (sink_.has_value()) {
-    const util::Bytes payload = wire::encode_to_bytes(record);
-    if (!sink_->append(kAuditSinkRecordType, payload).is_ok()) {
-      sink_failures_ += 1;
+  std::shared_ptr<storage::JournalWriter> sink;
+  std::uint64_t lsn = 0;
+  {
+    std::lock_guard lock(mutex_);
+    if (sink_ != nullptr) {
+      const util::Bytes payload = wire::encode_to_bytes(record);
+      const util::Result<std::uint64_t> appended =
+          sink_->append(kAuditSinkRecordType, payload);
+      if (appended.is_ok()) {
+        sink = sink_;
+        lsn = appended.value();
+      } else {
+        sink_failures_ += 1;
+      }
+    }
+    (record.allowed ? allowed_ : denied_) += 1;
+    if (recent_.size() < kRecentCapacity) {
+      recent_.push_back(std::move(record));
+    } else {
+      recent_[oldest_] = std::move(record);
+      oldest_ = (oldest_ + 1) % kRecentCapacity;
     }
   }
-  (record.allowed ? allowed_ : denied_) += 1;
-  if (recent_.size() < kRecentCapacity) {
-    recent_.push_back(std::move(record));
-  } else {
-    recent_[oldest_] = std::move(record);
-    oldest_ = (oldest_ + 1) % kRecentCapacity;
+  // Commit outside the lock, so concurrent deciders share one fsync.
+  if (sink != nullptr && !sink->commit(lsn).is_ok()) {
+    std::lock_guard lock(mutex_);
+    sink_failures_ += 1;
   }
 }
 
@@ -71,24 +85,15 @@ void AuditLog::clear() {
   denied_ = 0;
 }
 
-util::Status AuditLog::open_sink(const std::string& path,
-                                 storage::FsyncPolicy policy) {
-  storage::JournalWriter::Config config;
-  config.fsync_policy = policy;
+util::Status AuditLog::open_sink(const std::string& path) {
   std::lock_guard lock(mutex_);
   auto writer = std::filesystem::exists(path)
-                    ? storage::JournalWriter::open(path, config)
-                    : storage::JournalWriter::create(path, 1, config);
+                    ? storage::JournalWriter::open(path, {})
+                    : storage::JournalWriter::create(path, 1, {});
   RPROXY_RETURN_IF_ERROR(writer.status());
-  sink_.emplace(std::move(writer.value()));
+  sink_ = std::make_shared<storage::JournalWriter>(std::move(writer.value()));
   has_sink_.store(true);
   return util::Status::ok();
-}
-
-util::Status AuditLog::sync_sink() {
-  std::lock_guard lock(mutex_);
-  if (!sink_.has_value()) return util::Status::ok();
-  return sink_->sync();
 }
 
 util::Result<std::vector<AuditRecord>> AuditLog::read_sink(

@@ -14,8 +14,8 @@
 #pragma once
 
 #include <atomic>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,18 +60,14 @@ class AuditLog {
 
   /// Attaches a file-backed sink at `path` (created if absent, appended
   /// to — after torn-tail truncation — if present).  Every subsequent
-  /// append() is also journaled.  Auditing never blocks serving: a sink
-  /// write failure is counted in sink_failures(), not surfaced to the
-  /// request path.
-  [[nodiscard]] util::Status open_sink(
-      const std::string& path,
-      storage::FsyncPolicy policy = storage::FsyncPolicy::kBatch);
+  /// append() also journals its record and returns once a group commit
+  /// made it durable; concurrent appenders share one fsync.  A sink
+  /// write or commit failure is counted in sink_failures(), not surfaced
+  /// to the request path.
+  [[nodiscard]] util::Status open_sink(const std::string& path);
 
   /// True once open_sink() succeeded: append() then writes to storage.
   [[nodiscard]] bool has_sink() const { return has_sink_.load(); }
-
-  /// Forces buffered sink records to stable storage.
-  [[nodiscard]] util::Status sync_sink();
 
   /// Loads a sink file back.  A torn final record is dropped, not an
   /// error; unknown frame types are skipped (sink format growth).
@@ -100,7 +96,9 @@ class AuditLog {
   std::size_t oldest_ = 0;
   std::size_t allowed_ = 0;
   std::size_t denied_ = 0;
-  std::optional<storage::JournalWriter> sink_;
+  /// Shared so an append committing outside mutex_ keeps its writer alive
+  /// across a concurrent open_sink().
+  std::shared_ptr<storage::JournalWriter> sink_;
   std::atomic<bool> has_sink_{false};  ///< sink_ engaged; read lock-free
   std::size_t sink_failures_ = 0;
 };

@@ -111,8 +111,8 @@ class EndServer : public net::Node {
 
   /// Issuing a challenge, verifying a presentation and performing it
   /// wait on nothing, so a transport may run them on its reading thread;
-  /// but an attached audit sink writes (and under kBatch fsyncs) inside
-  /// every append.
+  /// but an attached audit sink writes and commits (one fsync, shared
+  /// with concurrent deciders) inside every append.
   [[nodiscard]] bool may_block(net::MsgType type) const override;
 
  protected:

@@ -155,20 +155,6 @@ util::Result<util::Bytes> read_whole_file(const std::string& path) {
 
 }  // namespace
 
-std::string_view fsync_policy_name(FsyncPolicy policy) {
-  switch (policy) {
-    case FsyncPolicy::kNever:
-      return "never";
-    case FsyncPolicy::kBatch:
-      return "batch";
-    case FsyncPolicy::kEveryRecord:
-      return "every_record";
-    case FsyncPolicy::kGroup:
-      return "group";
-  }
-  return "?";
-}
-
 util::Result<JournalReader::Scan> JournalReader::read(
     const std::string& path) {
   RPROXY_ASSIGN_OR_RETURN(util::Bytes data, read_whole_file(path));
@@ -220,8 +206,7 @@ util::Result<JournalWriter> JournalWriter::create(const std::string& path,
   if (fd < 0) return io_fail("journal create", path);
   const util::Bytes header = encode_file_header(base_lsn);
   util::Status written = write_all(fd, header, path);
-  if (written.is_ok() && config.fsync_policy != FsyncPolicy::kNever &&
-      ::fsync(fd) != 0) {
+  if (written.is_ok() && ::fsync(fd) != 0) {
     written = io_fail("journal fsync", path);
   }
   if (!written.is_ok()) {
@@ -291,7 +276,6 @@ JournalWriter::JournalWriter(JournalWriter&& other) noexcept
       base_lsn_(other.base_lsn_),
       next_lsn_(other.next_lsn_),
       config_(other.config_),
-      unsynced_records_(other.unsynced_records_),
       dead_(other.dead_.load()),
       frame_offsets_(std::move(other.frame_offsets_)),
       commit_(std::move(other.commit_)) {
@@ -309,7 +293,6 @@ JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
     base_lsn_ = other.base_lsn_;
     next_lsn_ = other.next_lsn_;
     config_ = other.config_;
-    unsynced_records_ = other.unsynced_records_;
     dead_.store(other.dead_.load());
     frame_offsets_ = std::move(other.frame_offsets_);
     commit_ = std::move(other.commit_);
@@ -321,9 +304,7 @@ JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
 
 JournalWriter::~JournalWriter() {
   if (fd_ >= 0) {
-    if (!dead_.load() && config_.fsync_policy != FsyncPolicy::kNever) {
-      ::fsync(fd_);
-    }
+    if (!dead_.load()) ::fsync(fd_);
     ::close(fd_);
   }
   if (read_fd_ >= 0) ::close(read_fd_);
@@ -361,18 +342,10 @@ util::Result<std::uint64_t> JournalWriter::append(std::uint16_t type,
   }
   const std::uint64_t lsn = next_lsn_;
   next_lsn_ += 1;
-  unsynced_records_ += 1;
-  {
-    // The commit leader and read_durable read the index from other
-    // threads; publish the fully-written frame under the barrier mutex.
-    std::lock_guard lock(commit_->mutex);
-    frame_offsets_.push_back(frame_offsets_.back() + frame.size());
-  }
-  const bool want_sync =
-      config_.fsync_policy == FsyncPolicy::kEveryRecord ||
-      (config_.fsync_policy == FsyncPolicy::kBatch &&
-       unsynced_records_ >= std::max<std::size_t>(config_.batch_records, 1));
-  if (want_sync) RPROXY_RETURN_IF_ERROR(sync());
+  // The commit leader and read_durable read the index from other threads;
+  // publish the fully-written frame under the barrier mutex.
+  std::lock_guard lock(commit_->mutex);
+  frame_offsets_.push_back(frame_offsets_.back() + frame.size());
   return lsn;
 }
 
@@ -391,31 +364,12 @@ util::Status JournalWriter::fsync_now_() {
   return util::Status::ok();
 }
 
-util::Status JournalWriter::sync() {
-  if (dead_.load() || fd_ < 0) {
-    return util::fail(ErrorCode::kUnavailable,
-                      "journal '" + path_ + "' is dead (crashed)");
-  }
-  RPROXY_RETURN_IF_ERROR(fsync_now_());
-  unsynced_records_ = 0;
-  std::lock_guard lock(commit_->mutex);
-  commit_->durable_lsn =
-      std::max(commit_->durable_lsn, appended_lsn_locked_());
-  return util::Status::ok();
-}
+util::Status JournalWriter::sync() { return commit(next_lsn_ - 1); }
 
 util::Status JournalWriter::commit(std::uint64_t lsn) {
   if (fd_ < 0) {
     return util::fail(ErrorCode::kUnavailable,
                       "journal '" + path_ + "' is dead (crashed)");
-  }
-  if (config_.fsync_policy != FsyncPolicy::kGroup) {
-    // kEveryRecord already flushed in append(); kNever/kBatch make no
-    // per-record promise for commit() to wait on.
-    return dead_.load()
-               ? util::fail(ErrorCode::kUnavailable,
-                            "journal '" + path_ + "' is dead (crashed)")
-               : util::Status::ok();
   }
   CommitState& cs = *commit_;
   std::unique_lock lock(cs.mutex);
@@ -461,14 +415,13 @@ util::Status JournalWriter::commit(std::uint64_t lsn) {
   if (!synced.is_ok()) {
     cs.error = synced;
   } else {
+    // Only a leader moves durable_lsn, and the append index only grows,
+    // so the target is never behind it.
+    const std::uint64_t covered = target - cs.durable_lsn;
     cs.stats.fsyncs += 1;
-    // A concurrent sync() may have moved durable_lsn past this leader's
-    // target during its fsync; it then covered nothing new.
-    const std::uint64_t covered =
-        target > cs.durable_lsn ? target - cs.durable_lsn : 0;
     cs.stats.committed += covered;
     cs.stats.max_group = std::max(cs.stats.max_group, covered);
-    cs.durable_lsn = std::max(cs.durable_lsn, target);
+    cs.durable_lsn = target;
   }
   cs.cv.notify_all();
   return synced;

@@ -13,16 +13,17 @@
 // instead of failing: losing the record whose reply was never sent is the
 // correct outcome, the client retries it.
 //
-// Durability is a policy knob: `kNever` trusts the OS page cache (fastest,
-// loses the tail on power failure), `kBatch` fsyncs every N appends,
-// `kEveryRecord` fsyncs per append (the strict write-ahead guarantee), and
-// `kGroup` amortizes the strict guarantee across concurrent appenders:
-// append() only buffers, and commit(lsn) parks the caller on a committing
-// leader whose single fsync covers every record appended since the last
-// barrier.  With N writers in flight one disk flush makes N records
-// durable, so durable throughput grows with concurrency instead of
-// serializing on the disk.  bench_t9_journal / bench_t11_event_loop
-// measure the spread.
+// Durability has one rule: a record is durable once a commit() at or
+// above its LSN returns OK.  append() only writes the frame; commit(lsn)
+// parks the caller on a committing leader whose single fsync covers
+// every record appended since the last barrier.  With N writers in
+// flight one disk flush makes N records durable, so durable throughput
+// grows with concurrency instead of serializing on the disk; a lone
+// writer pays one fsync per commit, the same as flushing every append.
+// That leader's round is the only code that fsyncs records: sync() is a
+// commit of everything appended so far, and only create()'s header flush
+// and the destructor's close flush sit outside it.  bench_t9_journal /
+// bench_t11_event_loop measure the spread.
 //
 // The writer also keeps an in-memory index of where each frame starts (8
 // bytes per record in the file), so replication's tail read
@@ -36,7 +37,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "storage/crash_point.hpp"
@@ -45,15 +45,13 @@
 
 namespace rproxy::storage {
 
-/// When appends reach stable storage.
+/// Every journal fsyncs through commit()'s group barrier; there is no
+/// other policy.  The enum and AccountingServer::Config::fsync_policy
+/// remain only because the end-to-end benchmark's deployment still
+/// assigns them; nothing reads either.
 enum class FsyncPolicy {
-  kNever,        ///< never fsync; the OS decides
-  kBatch,        ///< fsync every `batch_records` appends
-  kEveryRecord,  ///< fsync after every append
-  kGroup,        ///< fsync on commit(); one barrier covers all appenders
+  kGroup,
 };
-
-[[nodiscard]] std::string_view fsync_policy_name(FsyncPolicy policy);
 
 /// One recovered record.
 struct JournalRecord {
@@ -79,15 +77,13 @@ class JournalReader {
   [[nodiscard]] static util::Result<Scan> read(const std::string& path);
 };
 
-/// Appender.  append() is not thread-safe; callers serialize (the
-/// accounting server appends under its state mutex).  commit() IS
-/// thread-safe — under FsyncPolicy::kGroup many threads park on it
-/// concurrently, each outside whatever lock serialized its append.
+/// Appender.  append() and sync() are not thread-safe; callers serialize
+/// (the accounting server appends under its state mutex).  commit() IS
+/// thread-safe — many threads park on it concurrently, each outside
+/// whatever lock serialized its append.
 class JournalWriter {
  public:
   struct Config {
-    FsyncPolicy fsync_policy = FsyncPolicy::kBatch;
-    std::size_t batch_records = 8;
     /// Test-only kill injection; not owned.  When the crash point fires,
     /// the fatal frame lands torn on disk and append() reports
     /// kUnavailable — the caller must treat the process as dead.
@@ -110,7 +106,7 @@ class JournalWriter {
   JournalWriter& operator=(const JournalWriter&) = delete;
   ~JournalWriter();
 
-  /// Group-commit counters (populated under FsyncPolicy::kGroup).
+  /// Group-commit counters: every fsync of a record is a barrier's.
   struct GroupStats {
     std::uint64_t fsyncs = 0;     ///< commit barriers completed
     std::uint64_t committed = 0;  ///< records those barriers covered
@@ -118,27 +114,25 @@ class JournalWriter {
     std::uint64_t max_group = 0;  ///< most records one barrier covered
   };
 
-  /// Appends one record and applies the fsync policy; returns its LSN.
-  /// kUnavailable after a crash-point kill (the frame may be torn on
-  /// disk; the caller must not send the reply the record covers).  Under
-  /// kGroup the record is NOT durable until a commit() at or above its
-  /// LSN returns OK.
+  /// Appends one record; returns its LSN.  kUnavailable after a
+  /// crash-point kill (the frame may be torn on disk; the caller must not
+  /// send the reply the record covers).  The record is NOT durable until
+  /// a commit() at or above its LSN returns OK.
   [[nodiscard]] util::Result<std::uint64_t> append(std::uint16_t type,
                                                    util::BytesView payload);
 
   /// Blocks until every record up to `lsn` is covered by a completed
-  /// fsync.  Thread-safe.  Under kGroup the first arrival becomes the
-  /// commit leader (one fsync covering everything appended so far) and
-  /// later arrivals park on its barrier; under kEveryRecord the guarantee
-  /// already held at append() and this returns immediately.  kNever /
-  /// kBatch make no per-record promise, so commit() is a no-op there too.
-  /// A failed group fsync is STICKY: the failure is reported to every
-  /// parked appender — not just the leader — and to every later call, and
-  /// the journal is dead from then on (storage-dead semantics; a log that
-  /// cannot flush must stop accepting promises).
+  /// fsync.  Thread-safe.  The first arrival becomes the commit leader
+  /// (one fsync covering everything appended so far) and later arrivals
+  /// park on its barrier; a call whose records are already covered
+  /// returns at once.  A failed group fsync is STICKY: the failure is
+  /// reported to every parked appender — not just the leader — and to
+  /// every later call, and the journal is dead from then on (storage-dead
+  /// semantics; a log that cannot flush must stop accepting promises).
   [[nodiscard]] util::Status commit(std::uint64_t lsn);
 
-  /// Forces an fsync regardless of policy.
+  /// commit() of everything appended so far.  Like append(), call it
+  /// under whatever lock serializes the appends.
   [[nodiscard]] util::Status sync();
 
   [[nodiscard]] GroupStats group_stats() const;
@@ -203,7 +197,6 @@ class JournalWriter {
   std::uint64_t base_lsn_ = 1;
   std::uint64_t next_lsn_ = 1;
   Config config_;
-  std::size_t unsynced_records_ = 0;
   /// Crash point fired or unrecoverable I/O error.  Atomic because a
   /// group-commit leader can mark the writer dead while another thread is
   /// mid-append.

@@ -154,56 +154,17 @@ util::Result<LogDir::TailRead> LogDir::read_committed(
   // need no coordination — the cap at durable_lsn keeps the read inside
   // the fully-written, fsynced prefix.
   std::shared_lock lock(*rotate_lock_);
-  TailRead out;
   if (from_lsn == 0) from_lsn = 1;
-  if (from_lsn >= journal_->base_lsn()) {
-    // The steady state: the active journal's frame index locates exactly
-    // the frames to ship.
-    RPROXY_ASSIGN_OR_RETURN(
-        out.durable_lsn,
-        journal_->read_durable(from_lsn, max_records, &out.records));
-    return out;
-  }
-  // Below the active journal: the records, if any survive, sit in files
-  // an interrupted compaction left behind.  Scan the directory for them.
-  out.durable_lsn = journal_->durable_lsn();
-  const std::vector<std::uint64_t> bases = list_journals(config_.dir);
-  if (bases.empty() || bases.front() > from_lsn) {
+  if (from_lsn < journal_->base_lsn()) {
     return util::fail(ErrorCode::kNotFound,
                       "journal records below LSN " +
-                          std::to_string(bases.empty() ? out.durable_lsn + 1
-                                                       : bases.front()) +
+                          std::to_string(journal_->base_lsn()) +
                           " were compacted; bootstrap from the snapshot");
   }
-  std::uint64_t next = from_lsn;  // the LSN the read owes next
-  for (std::size_t i = 0; i < bases.size(); ++i) {
-    if (next > out.durable_lsn || out.records.size() >= max_records) break;
-    // File i covers [bases[i], bases[i+1]); skip files entirely below the
-    // requested start.
-    if (i + 1 < bases.size() && bases[i + 1] <= next) continue;
-    RPROXY_ASSIGN_OR_RETURN(JournalReader::Scan scan,
-                            JournalReader::read(journal_path_(bases[i])));
-    for (JournalRecord& record : scan.records) {
-      if (record.lsn < next) continue;
-      if (record.lsn != next || next > out.durable_lsn ||
-          out.records.size() >= max_records) {
-        break;
-      }
-      out.records.push_back(std::move(record));
-      next += 1;
-    }
-    // A file that ends short of the next one's base lost durable records
-    // (a bad frame ends its scan); later files cannot close the gap.
-    if (i + 1 < bases.size() && next < bases[i + 1]) break;
-  }
-  // As in JournalWriter::read_durable: the frames before the gap are
-  // returned, and a read that starts at it fails.
-  if (out.records.empty() && next <= out.durable_lsn && max_records > 0) {
-    return util::fail(ErrorCode::kInternal,
-                      "journal records at LSN " + std::to_string(next) +
-                          " in '" + config_.dir +
-                          "' are durable but unreadable");
-  }
+  TailRead out;
+  RPROXY_ASSIGN_OR_RETURN(
+      out.durable_lsn,
+      journal_->read_durable(from_lsn, max_records, &out.records));
   return out;
 }
 

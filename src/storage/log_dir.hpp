@@ -55,8 +55,8 @@ class LogDir {
   [[nodiscard]] util::Result<std::uint64_t> append(std::uint16_t type,
                                                    util::BytesView payload);
 
-  /// Group commit (FsyncPolicy::kGroup): blocks until every record up to
-  /// `lsn` is covered by a completed fsync; see JournalWriter::commit.
+  /// Group commit: blocks until every record up to `lsn` is covered by a
+  /// completed fsync; see JournalWriter::commit.
   /// Unlike append()/checkpoint(), callers invoke this OUTSIDE whatever
   /// lock serializes their appends — parking many threads on one fsync is
   /// the whole point.  Safe against a concurrent checkpoint(): commit
@@ -66,7 +66,8 @@ class LogDir {
   /// Group-commit counters of the ACTIVE journal (reset at rotation).
   [[nodiscard]] JournalWriter::GroupStats group_stats() const;
 
-  /// Forces the journal to stable storage.
+  /// commit() of everything appended so far; call it under the lock that
+  /// serializes appends.
   [[nodiscard]] util::Status sync();
 
   /// Publishes `sealed_snapshot` as covering everything appended so far,
@@ -89,22 +90,22 @@ class LogDir {
   };
 
   /// Committed records with LSN >= `from_lsn`, capped at the durable
-  /// watermark (shipped ⊆ fsynced) and at `max_records`.  From the active
-  /// journal's base LSN on, the writer's frame index locates exactly the
-  /// requested frames and one pread fetches them
-  /// (JournalWriter::read_durable), so a read costs O(records returned),
-  /// not O(journal).  Below that base, where only files an interrupted
-  /// compaction left behind can hold the records, the directory is listed
-  /// and each file scanned whole.  Both paths check every frame's length
-  /// and CRC.  Safe against a concurrent append or checkpoint: both run
-  /// under the rotation lock, and the cap keeps them inside frames fully
-  /// written before their fsync.
-  /// A durable record that cannot be read (a bad frame, or a gap between
-  /// files) ends the read after the records before it; a read that starts
-  /// at it fails kInternal, naming the LSN.
-  /// Fails kNotFound when `from_lsn` predates the oldest journal on disk
-  /// (compacted away by a checkpoint); the caller bootstraps the follower
-  /// from latest_snapshot() instead.
+  /// watermark (shipped ⊆ fsynced) and at `max_records`.  The active
+  /// journal's frame index locates exactly the requested frames and one
+  /// pread fetches them (JournalWriter::read_durable), so a read costs
+  /// O(records returned), not O(journal).  Every frame passes its length
+  /// and CRC checks.  Safe against a concurrent append or checkpoint:
+  /// both run under the rotation lock, and the cap keeps the read inside
+  /// frames fully written before their fsync.
+  /// A durable record that cannot be read (a bad frame) ends the read
+  /// after the records before it; a read that starts at it fails
+  /// kInternal, naming the LSN.
+  /// Fails kNotFound for any `from_lsn` below the active journal's base:
+  /// a checkpoint compacted those records into the newest snapshot, and
+  /// the caller bootstraps the follower from latest_snapshot() instead.
+  /// (A journal file below the base outlives its checkpoint only when
+  /// removing it failed, and the next open() deletes it; it is never
+  /// read.)
   [[nodiscard]] util::Result<TailRead> read_committed(
       std::uint64_t from_lsn, std::size_t max_records) const;
 

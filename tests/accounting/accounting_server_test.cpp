@@ -388,7 +388,7 @@ TEST_F(AccountingServerTest, MultiHopClearingViaRoute) {
   world_.net.attach("bank3", *bank3);
   bank3->open_account("client3", "client",
                       accounting::Balances{{"usd", 100}});
-  bank1_->set_route("bank3", "bank2");
+  ASSERT_TRUE(bank1_->set_route("bank3", "bank2").is_ok());
 
   const Check check = accounting::write_check(
       "client", world_.principal("client").identity,

@@ -52,7 +52,6 @@ struct HealWorld {
     auto config = world.accounting_config("bank");
     config.storage_dir = tmp.sub("bank");
     config.storage_key = key;
-    config.fsync_policy = storage::FsyncPolicy::kEveryRecord;
     config.crash_point = &crash;
     primary = std::make_unique<AccountingServer>(std::move(config));
     EXPECT_TRUE(primary->recover().is_ok());
@@ -75,9 +74,11 @@ struct HealWorld {
     primary->set_replication_barrier([barrier_shipper](std::uint64_t lsn) {
       return barrier_shipper->ship_until(lsn);
     });
-    // Bring-up ends with a ship, so the opened accounts are on every
-    // standby before the first request: setup calls reply to no one, and
-    // a challenge reply (the first a client gets) skips the barrier.
+    // Bring-up ends with a commit and a ship, so the opened accounts are
+    // durable and on every standby before the first request: open_account
+    // stays staged until a commit, and a challenge reply (the first a
+    // client gets) skips the barrier.
+    EXPECT_TRUE(primary->sync().is_ok());
     EXPECT_TRUE(shipper->ship_until(primary->journal_durable_lsn()).is_ok());
 
     FailoverCoordinator::Config cc;
@@ -253,7 +254,6 @@ struct RestartWorld {
     auto config = world.accounting_config("bank");
     config.storage_dir = tmp.sub("bank");
     config.storage_key = key;
-    config.fsync_policy = storage::FsyncPolicy::kEveryRecord;
     primary = std::make_unique<AccountingServer>(std::move(config));
     EXPECT_TRUE(primary->recover().is_ok());
     world.net.attach("bank", *primary);
@@ -269,7 +269,6 @@ struct RestartWorld {
     auto config = world.accounting_config("bankb");
     config.storage_dir = tmp.sub("bankb");
     config.storage_key = key;
-    config.fsync_policy = storage::FsyncPolicy::kEveryRecord;
     if (with_crash) config.crash_point = &replica_crash;
     replica_server = std::make_unique<AccountingServer>(std::move(config));
     EXPECT_TRUE(replica_server->recover().is_ok());

@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,13 +37,11 @@ class RecoveryTest : public ::testing::Test {
   std::unique_ptr<accounting::AccountingServer> make_bank(
       const std::string& state_dir,
       storage::CrashPoint* crash = nullptr,
-      const PrincipalName& name = "bank",
-      std::optional<storage::FsyncPolicy> fsync_policy = std::nullopt) {
+      const PrincipalName& name = "bank") {
     auto config = world_.accounting_config(name);
     config.storage_dir = state_dir;
     config.storage_key = storage_key_;
     config.crash_point = crash;
-    if (fsync_policy.has_value()) config.fsync_policy = *fsync_policy;
     auto bank =
         std::make_unique<accounting::AccountingServer>(std::move(config));
     EXPECT_TRUE(bank->recover().is_ok());
@@ -85,7 +82,7 @@ TEST_F(RecoveryTest, CleanRestartPreservesEverything) {
   bank->open_account("payer-acct", "alice",
                      accounting::Balances{{"usd", 100}});
   bank->open_account("payee-acct", "bob");
-  bank->set_route("far-bank", "near-bank");
+  ASSERT_TRUE(bank->set_route("far-bank", "near-bank").is_ok());
 
   auto alice = world_.accounting_client("alice");
   auto bob = world_.accounting_client("bob");
@@ -384,9 +381,8 @@ TEST_F(RecoveryTest, ForeignCollectionCrashThenRetryConvergesExactlyOnce) {
   EXPECT_EQ(bank_b->account("payee-acct")->balances().balance("usd"), 30);
 }
 
-// Group commit under a dying disk, swept across fsync barriers: with
-// FsyncPolicy::kGroup a reply leaves only after the fsync covering its
-// record, so when barrier K fails the client has acknowledgments for
+// Group commit under a dying disk, swept across fsync barriers: a reply
+// leaves only after the fsync covering its record, so when barrier K fails the client has acknowledgments for
 // exactly the ops whose barriers completed — and the recovered state
 // must contain AT LEAST those ops (the write-ahead invariant: successful
 // replies are a subset of recovered records; the op in flight at the
@@ -399,8 +395,7 @@ TEST_F(RecoveryTest, GroupCommitFsyncFailureWithholdsTheUncoveredReply) {
     const std::string state = dir_.sub("bank-g" + std::to_string(fail_at));
     storage::CrashPoint crash;
     crash.fail_fsync_at(fail_at);
-    auto bank = make_bank(state, &crash, "bank",
-                          storage::FsyncPolicy::kGroup);
+    auto bank = make_bank(state, &crash);
     bank->open_account("payer-acct", "alice",
                        accounting::Balances{{"usd", 100}});
     bank->open_account("payee-acct", "bob");
@@ -434,12 +429,11 @@ TEST_F(RecoveryTest, GroupCommitFsyncFailureWithholdsTheUncoveredReply) {
   }
 }
 
-TEST_F(RecoveryTest, GroupCommitCleanRunMatchesEveryRecordState) {
-  // Without failures, kGroup must be invisible: same recovered state as
-  // the strict policy, same replies — only fewer fsyncs.
+TEST_F(RecoveryTest, GroupCommitCleanRunRecoversWithOneFsyncPerTransfer) {
+  // Without failures, group commit is invisible to the books: every acked
+  // transfer recovers, and sequential transfers pay one fsync each.
   const std::string state = dir_.sub("bank-group-clean");
-  auto bank =
-      make_bank(state, nullptr, "bank", storage::FsyncPolicy::kGroup);
+  auto bank = make_bank(state);
   bank->open_account("payer-acct", "alice",
                      accounting::Balances{{"usd", 100}});
   bank->open_account("payee-acct", "bob");
@@ -454,9 +448,36 @@ TEST_F(RecoveryTest, GroupCommitCleanRunMatchesEveryRecordState) {
   // Each barrier covered its transfer (plus setup records on the first).
   EXPECT_GE(stats.committed, 4u);
 
-  bank = make_bank(state, nullptr, "bank", storage::FsyncPolicy::kGroup);
+  bank = make_bank(state);
   EXPECT_EQ(bank->account("payer-acct")->balances().balance("usd"), 60);
   EXPECT_EQ(bank->account("payee-acct")->balances().balance("usd"), 40);
+}
+
+// A bank built with no durability setting replies only once a completed
+// fsync covers the record behind the reply.  The staged account openings
+// ride on the transfer's commit.
+TEST_F(RecoveryTest, DefaultBankRepliesOnlyOnceItsRecordIsDurable) {
+  auto bank = make_bank(dir_.sub("bank"));
+  bank->open_account("payer-acct", "alice",
+                     accounting::Balances{{"usd", 100}});
+  bank->open_account("payee-acct", "bob");
+  auto alice = world_.accounting_client("alice");
+  ASSERT_TRUE(
+      alice.transfer("bank", "payer-acct", "payee-acct", "usd", 10).is_ok());
+  const std::uint64_t transfer_lsn = bank->journal_next_lsn() - 1;
+  EXPECT_EQ(transfer_lsn, 3u);
+  EXPECT_GE(bank->journal_durable_lsn(), transfer_lsn);
+}
+
+// set_route commits before it returns, and its commit covers the setup
+// records staged before it.
+TEST_F(RecoveryTest, SetRouteIsDurableWhenItReturns) {
+  auto bank = make_bank(dir_.sub("bank"));
+  bank->open_account("payer-acct", "alice",
+                     accounting::Balances{{"usd", 100}});
+  ASSERT_TRUE(bank->set_route("far-bank", "near-bank").is_ok());
+  EXPECT_EQ(bank->journal_durable_lsn(), bank->journal_next_lsn() - 1);
+  EXPECT_EQ(bank->journal_durable_lsn(), 2u);
 }
 
 TEST_F(RecoveryTest, RecoverWithoutKeyFails) {

@@ -31,10 +31,9 @@ using util::ErrorCode;
 
 constexpr std::int64_t kInitial = 1000;
 
-/// A primary with durable storage (kEveryRecord unless `tweak` says
-/// otherwise), one standby replaying into a memory-only replica server,
-/// and the shipper wired into the primary's semi-sync barrier (a no-op
-/// until make_standby() creates the shipper).
+/// A primary with durable storage, one standby replaying into a
+/// memory-only replica server, and the shipper wired into the primary's
+/// semi-sync barrier (a no-op until make_standby() creates the shipper).
 struct ReplicaWorld {
   World world;
   rproxy::testing::TempDir tmp;
@@ -55,7 +54,6 @@ struct ReplicaWorld {
     auto config = world.accounting_config("bank");
     config.storage_dir = tmp.sub("bank");
     config.storage_key = storage_key;
-    config.fsync_policy = storage::FsyncPolicy::kEveryRecord;
     if (tweak) tweak(config);
     if (semi_sync) {
       config.replication_barrier = [this](std::uint64_t lsn) {
@@ -91,8 +89,11 @@ struct ReplicaWorld {
     shipper = std::make_unique<JournalShipper>(std::move(sc));
   }
 
+  /// Opens `account` and commits it, so it is durable and shippable when
+  /// this returns (a bare open_account stays staged until a commit).
   void open(const std::string& account) {
     primary->open_account(account, "alice", Balances{{"usd", kInitial}});
+    EXPECT_TRUE(primary->sync().is_ok());
   }
 
   [[nodiscard]] std::int64_t replica_balance(const std::string& account) {
@@ -615,7 +616,7 @@ TEST(Replication, CorruptDurableFrameFailsTheBarrierWithinOneRound) {
   const std::string path = rw.tmp.sub("bank") + "/" + journal;
   const std::uintmax_t frame_offset = std::filesystem::file_size(path);
   const std::uint64_t bad_lsn = rw.primary->journal_durable_lsn() + 1;
-  rw.open("a3");  // kEveryRecord: durable once open_account returns
+  rw.open("a3");  // durable once open() returns
   ASSERT_EQ(rw.primary->journal_durable_lsn(), bad_lsn);
   {
     // Flip a bit of the new frame's CRC field behind the writer's back.
@@ -639,7 +640,6 @@ TEST(Replication, CorruptDurableFrameFailsTheBarrierWithinOneRound) {
 TEST(Replication, GroupBarrierIsTheOnlyFsyncUnderConcurrentWriters) {
   storage::CrashPoint crash;  // inert: only counts the fsyncs it admits
   ReplicaWorld rw(/*with_barrier=*/true, [&](AccountingServer::Config& c) {
-    c.fsync_policy = storage::FsyncPolicy::kGroup;
     c.crash_point = &crash;
   });
   rw.open("a1");
@@ -712,9 +712,7 @@ class AppendBeforeQuery final : public net::Node {
 };
 
 TEST(Replication, QueryReplyWaitsForOtherHandlersUncommittedRecords) {
-  ReplicaWorld rw(/*with_barrier=*/true, [](AccountingServer::Config& c) {
-    c.fsync_policy = storage::FsyncPolicy::kGroup;
-  });
+  ReplicaWorld rw(/*with_barrier=*/true);
   rw.open("a1");
   rw.make_standby();
   AppendBeforeQuery front(*rw.primary);
@@ -736,9 +734,7 @@ TEST(Replication, QueryReplyWaitsForOtherHandlersUncommittedRecords) {
 // is.  The query that follows may see the record, so it still waits for
 // it to be durable and on every standby.
 TEST(Replication, ChallengeReplySkipsTheBarrierAndTheQueryAfterItWaits) {
-  ReplicaWorld rw(/*with_barrier=*/true, [](AccountingServer::Config& c) {
-    c.fsync_policy = storage::FsyncPolicy::kGroup;
-  });
+  ReplicaWorld rw(/*with_barrier=*/true);
   rw.open("a1");
   rw.make_standby();
   ASSERT_TRUE(

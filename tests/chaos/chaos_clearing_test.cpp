@@ -66,7 +66,8 @@ Outcome run_clearing_chaos(std::uint64_t seed, bool enable_dedup,
   world.net.attach("bank1", bank1);
   world.net.attach("bank2", bank2);
   world.net.attach("bank3", bank3);
-  bank1.set_route("bank3", "bank2");  // bank1 -> bank2 -> bank3
+  // bank1 -> bank2 -> bank3
+  EXPECT_TRUE(bank1.set_route("bank3", "bank2").is_ok());
   bank1.open_account("merchant-acct", "merchant");
   for (const auto& p : payors) {
     bank3.open_account(p + "-acct", p,
@@ -269,7 +270,7 @@ CrashOutcome run_crash_recovery_chaos(std::uint64_t seed,
   for (const char* name : {"bank1", "bank2", "bank3"}) {
     boot(name, /*with_storage=*/true, name == victim ? &crash : nullptr);
   }
-  banks["bank1"]->set_route("bank3", "bank2");
+  EXPECT_TRUE(banks["bank1"]->set_route("bank3", "bank2").is_ok());
   banks["bank1"]->open_account("merchant-acct", "merchant");
   for (const auto& p : payors) {
     banks["bank3"]->open_account(

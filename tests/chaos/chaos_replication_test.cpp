@@ -852,7 +852,7 @@ SplitBrainBooks run_split_brain(bool fencing) {
   for (const auto& s : kShards) fleet.boot(s, nullptr);
   fleet.boot_standby(/*seed=*/1, fencing);
   const auto accts = fleet.open_on("s1", 2);
-  // Make the opens durable (kBatch would otherwise hold them below the
+  // Make the opens durable (open_account leaves them staged below the
   // fsync watermark) and seed the standby through the bootstrap path.
   EXPECT_TRUE(fleet.shards["s1"]->checkpoint().is_ok());
   EXPECT_TRUE(fleet.shipper

@@ -36,7 +36,7 @@ constexpr int kDepositors = 4;
 constexpr int kChecksPerDepositor = 6;
 constexpr std::int64_t kFunds = 1'000'000;
 
-/// A kGroup-durable bank with one hot standby behind its barrier.
+/// A durable bank with one hot standby behind its barrier.
 struct ReplicatedBank {
   std::unique_ptr<AccountingServer> primary;
   std::unique_ptr<AccountingServer> replica;
@@ -49,7 +49,6 @@ struct ReplicatedBank {
     auto config = world.accounting_config(name);
     config.storage_dir = tmp.sub(name);
     config.storage_key = key;
-    config.fsync_policy = storage::FsyncPolicy::kGroup;
     config.replication_barrier = [this](std::uint64_t lsn) {
       return shipper->ship_until(lsn);
     };

@@ -41,7 +41,6 @@ TEST(ConcurrentFailover, BarrierReArmRacesGroupCommitAndCheckpoints) {
   auto config = world.accounting_config("bank");
   config.storage_dir = tmp.sub("bank");
   config.storage_key = key;
-  config.fsync_policy = storage::FsyncPolicy::kGroup;
   AccountingServer primary(std::move(config));
   ASSERT_TRUE(primary.recover().is_ok());
   world.net.attach("bank", primary);

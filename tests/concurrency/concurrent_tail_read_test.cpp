@@ -20,7 +20,6 @@
 namespace rproxy {
 namespace {
 
-using storage::FsyncPolicy;
 using storage::JournalRecord;
 using storage::LogDir;
 
@@ -47,7 +46,6 @@ TEST(ConcurrentTailRead, ReaderRacesAppendCommitAndCheckpoint) {
   rproxy::testing::TempDir tmp;
   LogDir::Config config;
   config.dir = tmp.path();
-  config.journal.fsync_policy = FsyncPolicy::kGroup;
   auto opened = LogDir::open(config, nullptr);
   ASSERT_TRUE(opened.is_ok()) << opened.status();
   LogDir log = std::move(opened.value());

@@ -319,7 +319,6 @@ TEST_F(RevocationEpochTest, RevocationRecordIsDurableWhenTheEventReturns) {
   auto config = world_.accounting_config("bank");
   config.storage_dir = dir.sub("bank");
   config.storage_key = crypto::SymmetricKey::generate();
-  config.fsync_policy = storage::FsyncPolicy::kGroup;
   accounting::AccountingServer bank(std::move(config));
   ASSERT_TRUE(bank.recover().is_ok());
   const std::uint64_t before = bank.journal_next_lsn();

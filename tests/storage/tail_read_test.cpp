@@ -19,7 +19,6 @@
 namespace rproxy {
 namespace {
 
-using storage::FsyncPolicy;
 using storage::JournalReader;
 using storage::JournalRecord;
 using storage::LogDir;
@@ -35,11 +34,9 @@ util::Bytes payload_for(int i) {
                                     static_cast<char>('a' + i % 26)));
 }
 
-LogDir open_log(const std::string& dir,
-                FsyncPolicy policy = FsyncPolicy::kBatch) {
+LogDir open_log(const std::string& dir) {
   LogDir::Config config;
   config.dir = dir;
-  config.journal.fsync_policy = policy;
   auto log = LogDir::open(config, nullptr);
   EXPECT_TRUE(log.is_ok()) << log.status();
   return std::move(log.value());
@@ -179,30 +176,49 @@ TEST(TailReadTest, CheckpointRotationCompactsTheOldLsns) {
   ASSERT_TRUE(log.checkpoint(util::to_bytes(std::string("s25"))).is_ok());
   append_n(log, 12, 25);
   ASSERT_TRUE(log.sync().is_ok());
-  // LSNs 1..25 were compacted: below the new base the read takes the
-  // directory scan and finds nothing to serve.
+  // LSNs 1..25 were compacted: below the new base the read fails
+  // kNotFound.
   expect_grid_matches_scan(log, dir.path(), 26);
 }
 
-TEST(TailReadTest, LeftoverJournalStillServesLsnsBelowTheActiveBase) {
+// A journal below the active base outlives its checkpoint only when
+// removing it failed.  The read never opens it: everything below the base
+// is kNotFound, so the shipper bootstraps the follower from the snapshot,
+// and the next open() deletes the file.
+TEST(TailReadTest, ASupersededJournalBelowTheBaseIsNeverReadAndOpenDeletesIt) {
   TempDir dir;
+  std::string old_path;
+  {
+    LogDir log = open_log(dir.path());
+    append_n(log, 18);
+    ASSERT_TRUE(log.sync().is_ok());
+    old_path = active_journal(dir.path());
+    const std::string kept = dir.sub("kept.bin");
+    std::filesystem::copy_file(old_path, kept);
+    ASSERT_TRUE(log.checkpoint(util::to_bytes(std::string("s18"))).is_ok());
+    std::filesystem::rename(kept, old_path);
+    append_n(log, 9, 18);
+    ASSERT_TRUE(log.sync().is_ok());
+    for (std::uint64_t from = 0; from <= 18; ++from) {
+      EXPECT_EQ(log.read_committed(from, 100).code(),
+                util::ErrorCode::kNotFound)
+          << from;
+    }
+    auto active = log.read_committed(19, 100);
+    ASSERT_TRUE(active.is_ok()) << active.status();
+    ASSERT_EQ(active.value().records.size(), 9u);
+    EXPECT_EQ(active.value().records.front().lsn, 19u);
+  }
+  ASSERT_TRUE(std::filesystem::exists(old_path));
   LogDir log = open_log(dir.path());
-  append_n(log, 18);
-  ASSERT_TRUE(log.sync().is_ok());
-  // Keep the pre-checkpoint journal as an interrupted compaction would.
-  const std::string old_path = active_journal(dir.path());
-  const std::string kept = dir.sub("kept.bin");
-  std::filesystem::copy_file(old_path, kept);
-  ASSERT_TRUE(log.checkpoint(util::to_bytes(std::string("s18"))).is_ok());
-  std::filesystem::rename(kept, old_path);
-  append_n(log, 9, 18);
-  ASSERT_TRUE(log.sync().is_ok());
-  expect_grid_matches_scan(log, dir.path(), 1);
+  EXPECT_FALSE(std::filesystem::exists(old_path));
+  EXPECT_EQ(log.next_lsn(), 28u);
+  expect_grid_matches_scan(log, dir.path(), 19);
 }
 
 TEST(TailReadTest, GroupCommitNeverReturnsUncommittedRecords) {
   TempDir dir;
-  LogDir log = open_log(dir.path(), FsyncPolicy::kGroup);
+  LogDir log = open_log(dir.path());
   append_n(log, 10);
   ASSERT_TRUE(log.commit(6).is_ok());
   ASSERT_EQ(log.durable_lsn(), 10u);  // the leader covers all appended
@@ -272,39 +288,6 @@ TEST(TailReadTest, AShortReadBelowTheWatermarkEndsTheRead) {
               std::string::npos)
         << at.status();
   }
-}
-
-// The same rule below the active journal, where a file an interrupted
-// compaction left behind is scanned whole: nothing after its bad frame
-// can be located, and no read may skip the gap into the next file.
-TEST(TailReadTest, ACorruptFrameInALeftoverJournalEndsTheRead) {
-  TempDir dir;
-  LogDir log = open_log(dir.path());
-  append_n(log, 12);
-  ASSERT_TRUE(log.sync().is_ok());
-  const std::string old_path = active_journal(dir.path());
-  const std::string kept = dir.sub("kept.bin");
-  std::filesystem::copy_file(old_path, kept);
-  ASSERT_TRUE(log.checkpoint(util::to_bytes(std::string("s12"))).is_ok());
-  std::filesystem::rename(kept, old_path);
-  append_n(log, 5, 12);
-  ASSERT_TRUE(log.sync().is_ok());
-  corrupt_record(old_path, 5);  // LSN 6 in the leftover file
-  auto before = log.read_committed(3, 100);
-  ASSERT_TRUE(before.is_ok()) << before.status();
-  ASSERT_EQ(before.value().records.size(), 3u);  // LSNs 3..5, no skip to 13
-  EXPECT_EQ(before.value().records.back().lsn, 5u);
-  for (const std::uint64_t from : {6, 9, 12}) {
-    auto at = log.read_committed(from, 100);
-    EXPECT_EQ(at.code(), util::ErrorCode::kInternal) << from;
-    EXPECT_NE(at.status().message().find("LSN " + std::to_string(from)),
-              std::string::npos)
-        << at.status();
-  }
-  // The active journal still serves its own LSNs.
-  auto active = log.read_committed(13, 100);
-  ASSERT_TRUE(active.is_ok()) << active.status();
-  EXPECT_EQ(active.value().records.size(), 5u);
 }
 
 }  // namespace

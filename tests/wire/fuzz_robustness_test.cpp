@@ -206,7 +206,6 @@ std::vector<storage::JournalRecord> harvest_journal_records() {
   auto config = world.accounting_config("bank");
   config.storage_dir = dir.sub("bank");
   config.storage_key = crypto::SymmetricKey::generate();
-  config.fsync_policy = storage::FsyncPolicy::kEveryRecord;
   accounting::AccountingServer bank(std::move(config));
   EXPECT_TRUE(bank.recover().is_ok());
   accounting::AccountingServer drawee(world.accounting_config("drawee"));
@@ -217,7 +216,7 @@ std::vector<storage::JournalRecord> harvest_journal_records() {
   bank.open_account("merchant-acct", "merchant");
   drawee.open_account("remote-acct", "client",
                       accounting::Balances{{"usd", 1000}});
-  bank.set_route("far-bank", "drawee");
+  EXPECT_TRUE(bank.set_route("far-bank", "drawee").is_ok());
 
   auto client = world.accounting_client("client");
   auto merchant = world.accounting_client("merchant");
